@@ -90,5 +90,12 @@ impl From<std::io::Error> for NnError {
     }
 }
 
+/// A `.hml` read the codec refused (short, or a count the file cannot hold).
+impl From<hpacml_store::codec::Malformed> for NnError {
+    fn from(e: hpacml_store::codec::Malformed) -> Self {
+        NnError::Serialize(e.0)
+    }
+}
+
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, NnError>;

@@ -30,7 +30,7 @@ use crate::model::Sequential;
 use crate::spec::{LayerSpec, ModelSpec};
 use crate::workspace::{with_thread_workspace, InferWorkspace};
 use crate::{NnError, Result};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use hpacml_store::codec::Reader;
 use hpacml_tensor::quant::Precision;
 use hpacml_tensor::Tensor;
 use std::io::{Read, Write};
@@ -190,21 +190,13 @@ pub fn save_model_with_precision(
     out_norm: Option<&Normalizer>,
     precision: Precision,
 ) -> Result<()> {
-    let mut buf = BytesMut::new();
-    buf.put_slice(MAGIC);
-    buf.put_u8(VERSION);
-    buf.put_u8(precision.tag());
+    let mut buf = MAGIC.to_vec();
+    buf.push(VERSION);
+    buf.push(precision.tag());
     encode_spec(&mut buf, spec);
     encode_norm(&mut buf, in_norm);
     encode_norm(&mut buf, out_norm);
-    let weights = model.export_weights();
-    buf.put_u32_le(weights.len() as u32);
-    for w in &weights {
-        buf.put_u64_le(w.len() as u64);
-        for v in w {
-            buf.put_f32_le(*v);
-        }
-    }
+    encode_weights(&mut buf, &model.export_weights());
     if let Some(dir) = path.as_ref().parent() {
         if !dir.as_os_str().is_empty() {
             std::fs::create_dir_all(dir)?;
@@ -220,16 +212,13 @@ pub fn save_model_with_precision(
 pub fn load_model(path: impl AsRef<Path>) -> Result<SavedModel> {
     let mut raw = Vec::new();
     std::fs::File::open(path.as_ref())?.read_to_end(&mut raw)?;
-    let mut buf = Bytes::from(raw);
-    let mut magic = [0u8; 8];
-    if buf.remaining() < 9 {
+    let mut buf = Reader::new(&raw);
+    let (Ok(magic), Ok(version)) = (buf.bytes(MAGIC.len()), buf.u8()) else {
         return Err(NnError::Serialize("file too short".into()));
-    }
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
+    };
+    if magic != MAGIC {
         return Err(NnError::Serialize("not an .hml model (bad magic)".into()));
     }
-    let version = buf.get_u8();
     if version != VERSION && version != VERSION_V1 {
         return Err(NnError::Serialize(format!(
             "unsupported .hml version {version}"
@@ -237,7 +226,7 @@ pub fn load_model(path: impl AsRef<Path>) -> Result<SavedModel> {
     }
     // v1 files predate the precision byte and are implicitly f32.
     let precision = if version >= 2 {
-        let tag = need_u8(&mut buf)?;
+        let tag = buf.u8()?;
         Precision::from_tag(tag)
             .ok_or_else(|| NnError::Serialize(format!("bad precision tag {tag}")))?
     } else {
@@ -246,18 +235,19 @@ pub fn load_model(path: impl AsRef<Path>) -> Result<SavedModel> {
     let spec = decode_spec(&mut buf)?;
     let in_norm = decode_norm(&mut buf)?;
     let out_norm = decode_norm(&mut buf)?;
-    let n = need_u32(&mut buf)? as usize;
-    let mut weights = Vec::with_capacity(n);
-    for _ in 0..n {
-        let len = need_u64(&mut buf)? as usize;
-        if buf.remaining() < len * 4 {
-            return Err(NnError::Serialize("truncated weight payload".into()));
-        }
-        let mut w = Vec::with_capacity(len);
-        for _ in 0..len {
-            w.push(buf.get_f32_le());
-        }
-        weights.push(w);
+    // Every tensor carries at least its u64 length prefix.
+    let weights = (0..buf.count_u32(8)?)
+        .map(|_| buf.extent().and_then(|len| buf.f32s(len)))
+        .collect::<std::result::Result<Vec<_>, _>>()?;
+    // The file holds every weight, so a spec that disagrees with them is
+    // corrupt; checking before `build` keeps a damaged extent from sizing
+    // an allocation.
+    let stored: usize = weights.iter().map(Vec::len).sum();
+    if spec.param_count() != stored {
+        return Err(NnError::Serialize(format!(
+            "spec has {} parameters, file stores {stored}",
+            spec.param_count()
+        )));
     }
     // Build with an arbitrary seed, then overwrite every parameter.
     let mut model = spec.build(0)?;
@@ -278,30 +268,39 @@ pub fn load_model(path: impl AsRef<Path>) -> Result<SavedModel> {
     Ok(saved)
 }
 
-fn encode_spec(buf: &mut BytesMut, spec: &ModelSpec) {
-    buf.put_u32_le(spec.input_shape.len() as u32);
-    for d in &spec.input_shape {
-        buf.put_u64_le(*d as u64);
+fn put_u64s(buf: &mut Vec<u8>, vals: &[usize]) {
+    for v in vals {
+        buf.extend_from_slice(&(*v as u64).to_le_bytes());
     }
-    buf.put_u32_le(spec.layers.len() as u32);
+}
+
+fn put_f32s(buf: &mut Vec<u8>, vals: &[f32]) {
+    for v in vals {
+        buf.extend_from_slice(&v.to_le_bytes());
+    }
+}
+
+fn encode_spec(buf: &mut Vec<u8>, spec: &ModelSpec) {
+    buf.extend_from_slice(&(spec.input_shape.len() as u32).to_le_bytes());
+    put_u64s(buf, &spec.input_shape);
+    buf.extend_from_slice(&(spec.layers.len() as u32).to_le_bytes());
     for l in &spec.layers {
-        match l {
+        match *l {
             LayerSpec::Linear {
                 in_features,
                 out_features,
             } => {
-                buf.put_u8(0);
-                buf.put_u64_le(*in_features as u64);
-                buf.put_u64_le(*out_features as u64);
+                buf.push(0);
+                put_u64s(buf, &[in_features, out_features]);
             }
-            LayerSpec::ReLU => buf.put_u8(1),
-            LayerSpec::Tanh => buf.put_u8(2),
-            LayerSpec::Sigmoid => buf.put_u8(3),
+            LayerSpec::ReLU => buf.push(1),
+            LayerSpec::Tanh => buf.push(2),
+            LayerSpec::Sigmoid => buf.push(3),
             LayerSpec::Dropout { p } => {
-                buf.put_u8(4);
-                buf.put_f32_le(*p);
+                buf.push(4);
+                put_f32s(buf, &[p]);
             }
-            LayerSpec::Flatten => buf.put_u8(5),
+            LayerSpec::Flatten => buf.push(5),
             LayerSpec::Conv2d {
                 in_ch,
                 out_ch,
@@ -309,126 +308,90 @@ fn encode_spec(buf: &mut BytesMut, spec: &ModelSpec) {
                 stride,
                 pad,
             } => {
-                buf.put_u8(6);
-                for v in [in_ch, out_ch, kernel, stride, pad] {
-                    buf.put_u64_le(*v as u64);
-                }
+                buf.push(6);
+                put_u64s(buf, &[in_ch, out_ch, kernel, stride, pad]);
             }
             LayerSpec::MaxPool2d { kernel, stride } => {
-                buf.put_u8(7);
-                buf.put_u64_le(*kernel as u64);
-                buf.put_u64_le(*stride as u64);
+                buf.push(7);
+                put_u64s(buf, &[kernel, stride]);
             }
         }
     }
 }
 
-fn decode_spec(buf: &mut Bytes) -> Result<ModelSpec> {
-    let rank = need_u32(buf)? as usize;
+fn decode_spec(buf: &mut Reader) -> Result<ModelSpec> {
+    let rank = buf.count_u32(8)?;
     if rank > 8 {
         return Err(NnError::Serialize(format!("implausible input rank {rank}")));
     }
-    let mut input_shape = Vec::with_capacity(rank);
-    for _ in 0..rank {
-        input_shape.push(need_u64(buf)? as usize);
-    }
-    let n = need_u32(buf)? as usize;
-    let mut layers = Vec::with_capacity(n);
-    for _ in 0..n {
-        let tag = need_u8(buf)?;
-        layers.push(match tag {
-            0 => LayerSpec::Linear {
-                in_features: need_u64(buf)? as usize,
-                out_features: need_u64(buf)? as usize,
-            },
-            1 => LayerSpec::ReLU,
-            2 => LayerSpec::Tanh,
-            3 => LayerSpec::Sigmoid,
-            4 => LayerSpec::Dropout { p: need_f32(buf)? },
-            5 => LayerSpec::Flatten,
-            6 => LayerSpec::Conv2d {
-                in_ch: need_u64(buf)? as usize,
-                out_ch: need_u64(buf)? as usize,
-                kernel: need_u64(buf)? as usize,
-                stride: need_u64(buf)? as usize,
-                pad: need_u64(buf)? as usize,
-            },
-            7 => LayerSpec::MaxPool2d {
-                kernel: need_u64(buf)? as usize,
-                stride: need_u64(buf)? as usize,
-            },
-            other => return Err(NnError::Serialize(format!("bad layer tag {other}"))),
-        });
-    }
+    let input_shape = (0..rank)
+        .map(|_| buf.extent())
+        .collect::<std::result::Result<_, _>>()?;
+    // Every layer carries at least its tag byte.
+    let layers = (0..buf.count_u32(1)?)
+        .map(|_| {
+            Ok(match buf.u8()? {
+                0 => LayerSpec::Linear {
+                    in_features: buf.extent()?,
+                    out_features: buf.extent()?,
+                },
+                1 => LayerSpec::ReLU,
+                2 => LayerSpec::Tanh,
+                3 => LayerSpec::Sigmoid,
+                4 => LayerSpec::Dropout { p: buf.f32()? },
+                5 => LayerSpec::Flatten,
+                6 => LayerSpec::Conv2d {
+                    in_ch: buf.extent()?,
+                    out_ch: buf.extent()?,
+                    kernel: buf.extent()?,
+                    stride: buf.extent()?,
+                    pad: buf.extent()?,
+                },
+                7 => LayerSpec::MaxPool2d {
+                    kernel: buf.extent()?,
+                    stride: buf.extent()?,
+                },
+                other => return Err(NnError::Serialize(format!("bad layer tag {other}"))),
+            })
+        })
+        .collect::<Result<_>>()?;
     Ok(ModelSpec::new(input_shape, layers))
 }
 
-fn encode_norm(buf: &mut BytesMut, norm: Option<&Normalizer>) {
+fn encode_norm(buf: &mut Vec<u8>, norm: Option<&Normalizer>) {
     match norm {
-        None => buf.put_u8(0),
+        None => buf.push(0),
         Some(n) => {
-            buf.put_u8(1);
-            buf.put_u8(n.axis.tag());
-            buf.put_u32_le(n.mean.len() as u32);
-            for v in &n.mean {
-                buf.put_f32_le(*v);
-            }
-            for v in &n.std {
-                buf.put_f32_le(*v);
-            }
+            buf.push(1);
+            buf.push(n.axis.tag());
+            buf.extend_from_slice(&(n.mean.len() as u32).to_le_bytes());
+            put_f32s(buf, &n.mean);
+            put_f32s(buf, &n.std);
         }
     }
 }
 
-fn decode_norm(buf: &mut Bytes) -> Result<Option<Normalizer>> {
-    match need_u8(buf)? {
+fn decode_norm(buf: &mut Reader) -> Result<Option<Normalizer>> {
+    match buf.u8()? {
         0 => Ok(None),
         1 => {
-            let axis = NormAxis::from_tag(need_u8(buf)?)?;
-            let len = need_u32(buf)? as usize;
-            if buf.remaining() < len * 8 {
-                return Err(NnError::Serialize("truncated normalizer".into()));
-            }
-            let mut mean = Vec::with_capacity(len);
-            for _ in 0..len {
-                mean.push(buf.get_f32_le());
-            }
-            let mut std = Vec::with_capacity(len);
-            for _ in 0..len {
-                std.push(buf.get_f32_le());
-            }
+            let axis = NormAxis::from_tag(buf.u8()?)?;
+            // A mean and a std per entry.
+            let len = buf.count_u32(8)?;
+            let mean = buf.f32s(len)?;
+            let std = buf.f32s(len)?;
             Ok(Some(Normalizer { axis, mean, std }))
         }
         other => Err(NnError::Serialize(format!("bad normalizer tag {other}"))),
     }
 }
 
-fn need_u8(buf: &mut Bytes) -> Result<u8> {
-    if buf.remaining() < 1 {
-        return Err(NnError::Serialize("truncated file".into()));
+fn encode_weights(buf: &mut Vec<u8>, weights: &[Vec<f32>]) {
+    buf.extend_from_slice(&(weights.len() as u32).to_le_bytes());
+    for w in weights {
+        buf.extend_from_slice(&(w.len() as u64).to_le_bytes());
+        put_f32s(buf, w);
     }
-    Ok(buf.get_u8())
-}
-
-fn need_u32(buf: &mut Bytes) -> Result<u32> {
-    if buf.remaining() < 4 {
-        return Err(NnError::Serialize("truncated file".into()));
-    }
-    Ok(buf.get_u32_le())
-}
-
-fn need_u64(buf: &mut Bytes) -> Result<u64> {
-    if buf.remaining() < 8 {
-        return Err(NnError::Serialize("truncated file".into()));
-    }
-    Ok(buf.get_u64_le())
-}
-
-fn need_f32(buf: &mut Bytes) -> Result<f32> {
-    if buf.remaining() < 4 {
-        return Err(NnError::Serialize("truncated file".into()));
-    }
-    Ok(buf.get_f32_le())
 }
 
 #[cfg(test)]
@@ -528,20 +491,12 @@ mod tests {
         let x = Tensor::from_shape_fn([4, 3], |ix| (ix[0] as f32 - ix[1] as f32) * 0.11);
         let before = model.forward(&x).unwrap();
 
-        let mut buf = BytesMut::new();
-        buf.put_slice(MAGIC);
-        buf.put_u8(VERSION_V1);
+        let mut buf = MAGIC.to_vec();
+        buf.push(VERSION_V1);
         encode_spec(&mut buf, &spec);
         encode_norm(&mut buf, None);
         encode_norm(&mut buf, None);
-        let weights = model.export_weights();
-        buf.put_u32_le(weights.len() as u32);
-        for w in &weights {
-            buf.put_u64_le(w.len() as u64);
-            for v in w {
-                buf.put_f32_le(*v);
-            }
-        }
+        encode_weights(&mut buf, &model.export_weights());
         let path = tmp("v1_compat.hml");
         std::fs::write(&path, &buf).unwrap();
 

@@ -47,19 +47,26 @@ pub enum LayerSpec {
 }
 
 impl LayerSpec {
-    /// Scalar parameter count of this layer.
+    /// Scalar parameter count of this layer. Saturates rather than
+    /// overflows, so a spec decoded from a damaged file can be sized.
     pub fn param_count(&self) -> usize {
-        match self {
+        match *self {
             LayerSpec::Linear {
                 in_features,
                 out_features,
-            } => in_features * out_features + out_features,
+            } => in_features
+                .saturating_mul(out_features)
+                .saturating_add(out_features),
             LayerSpec::Conv2d {
                 in_ch,
                 out_ch,
                 kernel,
                 ..
-            } => out_ch * in_ch * kernel * kernel + out_ch,
+            } => out_ch
+                .saturating_mul(in_ch)
+                .saturating_mul(kernel)
+                .saturating_mul(kernel)
+                .saturating_add(out_ch),
             _ => 0,
         }
     }
@@ -82,7 +89,11 @@ impl LayerSpec {
             LayerSpec::ReLU | LayerSpec::Tanh | LayerSpec::Sigmoid | LayerSpec::Dropout { .. } => {
                 Ok(input.to_vec())
             }
-            LayerSpec::Flatten => Ok(vec![input.iter().product::<usize>().max(1)]),
+            LayerSpec::Flatten => input
+                .iter()
+                .try_fold(1usize, |n, &d| n.checked_mul(d))
+                .map(|n| vec![n.max(1)])
+                .ok_or_else(|| NnError::BadSpec(format!("flatten of {input:?} overflows"))),
             LayerSpec::Conv2d {
                 in_ch,
                 out_ch,
@@ -202,9 +213,13 @@ impl ModelSpec {
             .unwrap_or_else(|| self.input_shape.clone()))
     }
 
-    /// Total scalar parameter count.
+    /// Total scalar parameter count (saturating, like
+    /// [`LayerSpec::param_count`]).
     pub fn param_count(&self) -> usize {
-        self.layers.iter().map(|l| l.param_count()).sum()
+        self.layers
+            .iter()
+            .map(LayerSpec::param_count)
+            .fold(0, usize::saturating_add)
     }
 
     /// Validate and instantiate with fresh (seeded) weights.
@@ -324,6 +339,45 @@ mod tests {
         let model = spec.build(3).unwrap();
         let x = hpacml_tensor::Tensor::zeros([2, 1, 28, 28]);
         assert_eq!(model.forward(&x).unwrap().dims(), &[2, 2]);
+    }
+
+    #[test]
+    fn degenerate_extents_are_rejected_not_panics() {
+        let conv = |stride, pad| {
+            ModelSpec::new(
+                vec![1, 4, 4],
+                vec![LayerSpec::Conv2d {
+                    in_ch: 1,
+                    out_ch: 1,
+                    kernel: 3,
+                    stride,
+                    pad,
+                }],
+            )
+        };
+        assert!(matches!(
+            conv(0, 1).infer_shapes(),
+            Err(NnError::BadSpec(_))
+        ));
+        assert!(conv(1, usize::MAX).infer_shapes().is_ok());
+        let pool = ModelSpec::new(
+            vec![1, 4, 4],
+            vec![LayerSpec::MaxPool2d {
+                kernel: 2,
+                stride: 0,
+            }],
+        );
+        assert!(matches!(pool.infer_shapes(), Err(NnError::BadSpec(_))));
+        let flat = ModelSpec::new(vec![1 << 32, 1 << 32, 2], vec![LayerSpec::Flatten]);
+        assert!(matches!(flat.infer_shapes(), Err(NnError::BadSpec(_))));
+        let wide = ModelSpec::new(
+            vec![1],
+            vec![LayerSpec::Linear {
+                in_features: usize::MAX,
+                out_features: 2,
+            }],
+        );
+        assert_eq!(wide.param_count(), usize::MAX);
     }
 
     #[test]

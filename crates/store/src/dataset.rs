@@ -66,11 +66,15 @@ impl Dataset {
         data: Vec<u8>,
     ) -> Result<Self> {
         // Scalar entries (empty inner shape) still occupy one element per row.
-        let numel: usize = inner_shape.iter().product::<usize>().max(1);
-        let expect = rows * numel * dtype.size_bytes();
-        if data.len() != expect {
+        // The extents come from disk, so a product that overflows is corrupt.
+        let expect = inner_shape
+            .iter()
+            .try_fold(1usize, |n, &d| n.checked_mul(d))
+            .and_then(|numel| numel.max(1).checked_mul(rows))
+            .and_then(|n| n.checked_mul(dtype.size_bytes()));
+        if expect != Some(data.len()) {
             return Err(StoreError::Corrupt(format!(
-                "dataset payload {} bytes, expected {expect}",
+                "dataset payload {} bytes does not match {rows} rows of {inner_shape:?} {dtype:?}",
                 data.len()
             )));
         }

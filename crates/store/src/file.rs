@@ -29,11 +29,10 @@
 //! Legacy v1 files (`b"H5LITE01"`, no checksums) still open with the strict
 //! v1 decoder; the first flush rewrites them as v2.
 
-use crate::codec::*;
+use crate::codec::{put_str, Reader};
 use crate::dataset::{DType, Dataset};
 use crate::group::{Attr, Group, Node};
 use crate::{Result, StoreError};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use hpacml_faults::{fault_point, fnv1a64};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
@@ -106,13 +105,9 @@ impl H5File {
         let mut f = std::fs::File::open(path.as_ref())?;
         let mut raw = Vec::new();
         f.read_to_end(&mut raw)?;
-        let mut buf = Bytes::from(raw);
-        if buf.remaining() < 8 {
-            return Err(StoreError::BadMagic);
-        }
-        let mut magic = [0u8; 8];
-        buf.copy_to_slice(&mut magic);
-        let (root, recovery) = if &magic == MAGIC_V2 {
+        let mut buf = Reader::new(&raw);
+        let magic = buf.bytes(8).map_err(|_| StoreError::BadMagic)?;
+        let (root, recovery) = if magic == MAGIC_V2 {
             let mut report = RecoveryReport::default();
             let root = decode_root_v2(&mut buf, &mut report);
             if report.is_clean() {
@@ -121,7 +116,7 @@ impl H5File {
                 eprintln!("hpacml-store: {}: {report}", path.as_ref().display());
                 (root, Some(report))
             }
-        } else if &magic == MAGIC_V1 {
+        } else if magic == MAGIC_V1 {
             (decode_group_v1(&mut buf)?, None)
         } else {
             return Err(StoreError::BadMagic);
@@ -167,9 +162,8 @@ impl H5File {
     /// `fsync`, atomic rename (plus a best-effort directory sync).
     pub fn flush(&mut self) -> Result<()> {
         fault_point!("store.flush");
-        let mut buf = BytesMut::new();
-        buf.put_slice(MAGIC_V2);
-        let mut body = BytesMut::new();
+        let mut buf = MAGIC_V2.to_vec();
+        let mut body = Vec::new();
         encode_group(&mut body, &self.root);
         put_block(&mut buf, &body);
         let tmp = self.path.with_extension("h5lite.tmp");
@@ -208,85 +202,86 @@ impl Drop for H5File {
     }
 }
 
-fn encode_attr(buf: &mut BytesMut, attr: &Attr) {
+fn encode_attr(buf: &mut Vec<u8>, name: &str, attr: &Attr) {
+    put_str(buf, name);
     match attr {
         Attr::Int(v) => {
-            buf.put_u8(0);
-            buf.put_i64_le(*v);
+            buf.push(0);
+            buf.extend_from_slice(&v.to_le_bytes());
         }
         Attr::Float(v) => {
-            buf.put_u8(1);
-            buf.put_f64_le(*v);
+            buf.push(1);
+            buf.extend_from_slice(&v.to_le_bytes());
         }
         Attr::Str(s) => {
-            buf.put_u8(2);
+            buf.push(2);
             put_str(buf, s);
         }
     }
 }
 
-fn decode_attr(buf: &mut Bytes) -> Result<Attr> {
-    match get_u8(buf)? {
-        0 => Ok(Attr::Int(get_i64(buf)?)),
-        1 => Ok(Attr::Float(get_f64(buf)?)),
-        2 => Ok(Attr::Str(get_str(buf)?)),
-        t => Err(StoreError::Corrupt(format!("bad attr tag {t}"))),
-    }
+fn decode_attr(buf: &mut Reader) -> Result<(String, Attr)> {
+    let name = buf.str()?;
+    let attr = match buf.u8()? {
+        0 => Attr::Int(buf.i64()?),
+        1 => Attr::Float(buf.f64()?),
+        2 => Attr::Str(buf.str()?),
+        t => return Err(StoreError::Corrupt(format!("bad attr tag {t}"))),
+    };
+    Ok((name, attr))
 }
 
-fn encode_dataset(buf: &mut BytesMut, d: &Dataset) {
-    buf.put_u8(d.dtype().tag());
-    buf.put_u32_le(d.inner_shape().len() as u32);
+fn encode_dataset(buf: &mut Vec<u8>, d: &Dataset) {
+    buf.push(d.dtype().tag());
+    buf.extend_from_slice(&(d.inner_shape().len() as u32).to_le_bytes());
     for dim in d.inner_shape() {
-        buf.put_u64_le(*dim as u64);
+        buf.extend_from_slice(&(*dim as u64).to_le_bytes());
     }
-    buf.put_u64_le(d.rows() as u64);
-    buf.put_u64_le(d.raw().len() as u64);
-    buf.put_slice(d.raw());
+    buf.extend_from_slice(&(d.rows() as u64).to_le_bytes());
+    buf.extend_from_slice(&(d.raw().len() as u64).to_le_bytes());
+    buf.extend_from_slice(d.raw());
 }
 
-fn decode_dataset(buf: &mut Bytes) -> Result<Dataset> {
-    let dtype = DType::from_tag(get_u8(buf)?)?;
-    let rank = get_u32(buf)? as usize;
+fn decode_dataset(buf: &mut Reader) -> Result<Dataset> {
+    let dtype = DType::from_tag(buf.u8()?)?;
+    let rank = buf.count_u32(8)?;
     if rank > 64 {
         return Err(StoreError::Corrupt(format!(
             "implausible dataset rank {rank}"
         )));
     }
-    let mut inner = Vec::with_capacity(rank);
-    for _ in 0..rank {
-        inner.push(get_u64(buf)? as usize);
-    }
-    let rows = get_u64(buf)? as usize;
-    let len = get_u64(buf)? as usize;
-    let data = get_bytes(buf, len)?;
+    let inner = (0..rank)
+        .map(|_| buf.extent())
+        .collect::<std::result::Result<_, _>>()?;
+    let rows = buf.extent()?;
+    let len = buf.extent()?;
+    let data = buf.bytes(len)?.to_vec();
     Dataset::from_parts(dtype, inner, rows, data)
 }
 
 /// Append `body` as a length-prefixed, checksummed block.
-fn put_block(buf: &mut BytesMut, body: &BytesMut) {
-    buf.put_u64_le(body.len() as u64);
-    buf.put_u64_le(fnv1a64(body));
-    buf.put_slice(body);
+fn put_block(buf: &mut Vec<u8>, body: &[u8]) {
+    buf.extend_from_slice(&(body.len() as u64).to_le_bytes());
+    buf.extend_from_slice(&fnv1a64(body).to_le_bytes());
+    buf.extend_from_slice(body);
 }
 
-fn encode_group(buf: &mut BytesMut, g: &Group) {
-    buf.put_u32_le(g.attrs_map().len() as u32);
+fn encode_group(buf: &mut Vec<u8>, g: &Group) {
+    buf.extend_from_slice(&(g.attrs_map().len() as u32).to_le_bytes());
     for (name, attr) in g.attrs_map() {
-        put_str(buf, name);
-        encode_attr(buf, attr);
+        encode_attr(buf, name, attr);
     }
-    buf.put_u32_le(g.children().len() as u32);
+    buf.extend_from_slice(&(g.children().len() as u32).to_le_bytes());
     for (name, node) in g.children() {
         put_str(buf, name);
-        let mut body = BytesMut::new();
+        let mut body = Vec::new();
         match node {
             Node::Group(child) => {
-                buf.put_u8(0);
+                buf.push(0);
                 encode_group(&mut body, child);
             }
             Node::Dataset(d) => {
-                buf.put_u8(1);
+                buf.push(1);
                 encode_dataset(&mut body, d);
             }
         }
@@ -304,55 +299,52 @@ fn child_path(path: &str, name: &str) -> String {
 
 /// Decode the checksummed root block. The root itself is a block, so even
 /// damage at the very top degrades to salvage, never to a parse error.
-fn decode_root_v2(buf: &mut Bytes, report: &mut RecoveryReport) -> Group {
-    let (Ok(len), Ok(cksum)) = (get_u64(buf), get_u64(buf)) else {
+fn decode_root_v2(buf: &mut Reader, report: &mut RecoveryReport) -> Group {
+    let (Ok(len), Ok(cksum)) = (buf.extent(), buf.u64()) else {
         report.truncated = true;
         return Group::new();
     };
-    let len = len as usize;
-    let body = if buf.remaining() < len {
-        report.truncated = true;
-        buf.slice(..)
-    } else {
-        let body = buf.slice(..len);
-        buf.advance(len);
-        if fnv1a64(&body) != cksum {
-            report.salvaged.push("/".to_string());
+    let body = match buf.bytes(len) {
+        Ok(body) => {
+            if fnv1a64(body) != cksum {
+                report.salvaged.push("/".to_string());
+            }
+            body
         }
-        body
+        Err(_) => {
+            report.truncated = true;
+            buf.rest()
+        }
     };
-    decode_group_v2(body, "", report)
+    decode_group_v2(Reader::new(body), "", report)
 }
 
 /// Lenient v2 group decoder: returns every child that survives its own
 /// checksum, records the rest in `report`, and never fails. When the
 /// enclosing block's checksum matched, this decodes the full group exactly
 /// as written.
-fn decode_group_v2(mut buf: Bytes, path: &str, report: &mut RecoveryReport) -> Group {
+fn decode_group_v2(mut buf: Reader, path: &str, report: &mut RecoveryReport) -> Group {
     let mut g = Group::new();
-    let Ok(n_attrs) = get_u32(&mut buf) else {
+    let Ok(n_attrs) = buf.u32() else {
         report.truncated = true;
         return g;
     };
     for _ in 0..n_attrs {
-        let parsed = get_str(&mut buf).and_then(|name| Ok((name, decode_attr(&mut buf)?)));
-        match parsed {
-            Ok((name, attr)) => g.set_attr(name, attr),
-            Err(_) => {
-                report.truncated = true;
-                return g;
-            }
-        }
+        let Ok((name, attr)) = decode_attr(&mut buf) else {
+            report.truncated = true;
+            return g;
+        };
+        g.set_attr(name, attr);
     }
-    let Ok(n_children) = get_u32(&mut buf) else {
+    let Ok(n_children) = buf.u32() else {
         report.truncated = true;
         return g;
     };
     for _ in 0..n_children {
-        let header = get_str(&mut buf).and_then(|name| {
-            let kind = get_u8(&mut buf)?;
-            let len = get_u64(&mut buf)? as usize;
-            let cksum = get_u64(&mut buf)?;
+        let header = buf.str().and_then(|name| {
+            let kind = buf.u8()?;
+            let len = buf.extent()?;
+            let cksum = buf.u64()?;
             Ok((name, kind, len, cksum))
         });
         let Ok((name, kind, len, cksum)) = header else {
@@ -360,31 +352,28 @@ fn decode_group_v2(mut buf: Bytes, path: &str, report: &mut RecoveryReport) -> G
             return g;
         };
         let full = child_path(path, &name);
-        if buf.remaining() < len {
+        let Ok(body) = buf.bytes(len) else {
             // Truncated tail: salvage what the cut left of a group child;
             // a cut dataset payload cannot be trusted row-by-row, drop it.
             report.truncated = true;
             if kind == 0 {
-                let rest = buf.slice(..);
-                let child = decode_group_v2(rest, &full, report);
+                let child = decode_group_v2(Reader::new(buf.rest()), &full, report);
                 g.insert_child(name, Node::Group(child));
             } else {
                 report.dropped.push(full);
             }
             return g;
-        }
-        let body = buf.slice(..len);
-        buf.advance(len);
-        let sound = fnv1a64(&body) == cksum;
+        };
+        let sound = fnv1a64(body) == cksum;
         match kind {
             0 => {
                 if !sound {
                     report.salvaged.push(full.clone());
                 }
-                let child = decode_group_v2(body, &full, report);
+                let child = decode_group_v2(Reader::new(body), &full, report);
                 g.insert_child(name, Node::Group(child));
             }
-            1 if sound => match decode_dataset(&mut { body }) {
+            1 if sound => match decode_dataset(&mut Reader::new(body)) {
                 Ok(d) => {
                     g.insert_child(name, Node::Dataset(d));
                 }
@@ -397,18 +386,15 @@ fn decode_group_v2(mut buf: Bytes, path: &str, report: &mut RecoveryReport) -> G
 }
 
 /// Strict legacy decoder for v1 files (no per-block framing, no checksums).
-fn decode_group_v1(buf: &mut Bytes) -> Result<Group> {
+fn decode_group_v1(buf: &mut Reader) -> Result<Group> {
     let mut g = Group::new();
-    let n_attrs = get_u32(buf)?;
-    for _ in 0..n_attrs {
-        let name = get_str(buf)?;
-        let attr = decode_attr(buf)?;
+    for _ in 0..buf.u32()? {
+        let (name, attr) = decode_attr(buf)?;
         g.set_attr(name, attr);
     }
-    let n_children = get_u32(buf)?;
-    for _ in 0..n_children {
-        let name = get_str(buf)?;
-        match get_u8(buf)? {
+    for _ in 0..buf.u32()? {
+        let name = buf.str()?;
+        match buf.u8()? {
             0 => {
                 let child = decode_group_v1(buf)?;
                 g.insert_child(name, Node::Group(child));

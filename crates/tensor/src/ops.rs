@@ -241,11 +241,13 @@ pub fn add_bias_rows<T: Scalar>(out: &mut Tensor<T>, bias: &[T]) -> Result<()> {
     Ok(())
 }
 
-/// Convolution geometry helper: output extent for one spatial dim.
+/// Convolution geometry helper: output extent for one spatial dim. A
+/// zero kernel or stride collapses the output to 0 and the padded extent
+/// saturates, so geometry decoded from a damaged file cannot panic here.
 #[inline]
 pub fn conv_out_dim(input: usize, kernel: usize, stride: usize, pad: usize) -> usize {
-    let padded = input + 2 * pad;
-    if padded < kernel {
+    let padded = input.saturating_add(pad.saturating_mul(2));
+    if kernel == 0 || stride == 0 || padded < kernel {
         return 0;
     }
     (padded - kernel) / stride + 1
@@ -1089,5 +1091,13 @@ mod tests {
         assert_eq!(conv_out_dim(8, 3, 1, 1), 8);
         assert_eq!(conv_out_dim(8, 3, 2, 1), 4);
         assert_eq!(conv_out_dim(2, 3, 1, 0), 0);
+    }
+
+    #[test]
+    fn conv_out_dim_degenerate_geometry_collapses() {
+        assert_eq!(conv_out_dim(8, 3, 0, 1), 0);
+        assert_eq!(conv_out_dim(8, 0, 1, 1), 0);
+        // An overflowing pad saturates instead of panicking.
+        assert_eq!(conv_out_dim(8, 3, usize::MAX, usize::MAX), 1);
     }
 }
