@@ -1,11 +1,11 @@
 //! Criterion: the register-tiled GEMM subsystem at MLP-representative
-//! shapes. Throughput is reported in elements/s where one "element" is one
-//! multiply-add FLOP (`2*m*n*k` per call), i.e. the numbers read directly
-//! as FLOP/s.
+//! shapes, and the stencil CNN's convolution with and without a column
+//! matrix. Throughput is reported in elements/s where one "element" is one
+//! FLOP (`2*m*n*k` per call), i.e. the numbers read directly as FLOP/s.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hpacml_tensor::gemm::{self, ASource, BSource, PackedA, PackedB};
-use hpacml_tensor::{Act, Epilogue, Tensor};
+use hpacml_tensor::{ops, Act, Epilogue, Tensor};
 use std::hint::black_box;
 
 /// The w128 MLP's three layers at batch 1024, plus the 4-filter conv GEMM
@@ -112,5 +112,62 @@ fn bench_gemm(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_gemm);
+/// The stencil CNN's convolution (4 → 4 channels, 3×3, pad 1, on a 32×64
+/// grid, batch 1), two ways: im2col into a column matrix then the GEMM
+/// over it — the route stride-1 convolutions used to take, built here from
+/// the public pieces — and the forward the layer runs, which reads the
+/// padded input planes in place. Same bits, different data movement.
+fn bench_conv(c: &mut Criterion) {
+    let mut group = c.benchmark_group("conv");
+    let (ch, f, h, w) = (4usize, 4usize, 32usize, 64usize);
+    let g = ops::Conv2dGeom::square(3, 1, 1);
+    let (oh, ow) = g.out_hw(h, w);
+    let (l, ckk) = (oh * ow, ch * 9);
+    let x = mat(1, ch * h * w, 6).reshape([1, ch, h, w]).unwrap();
+    let wt = mat(f, ckk, 7);
+    let pa = PackedA::from_rows(wt.data(), f, ckk);
+    let wt = wt.reshape([f, ch, 3, 3]).unwrap();
+    let bias = vec![0.1f32; f];
+    let epi = Epilogue::row_bias(&bias).with_act(Some(Act::Tanh));
+    group.throughput(Throughput::Elements((2 * f * ckk * l) as u64));
+    let shape = format!("{f}x{ch}x3x3_{h}x{w}");
+
+    let mut col = vec![0.0f32; ckk * l];
+    let mut out = vec![0.0f32; f * l];
+    group.bench_function(BenchmarkId::new("im2col_gemm", &shape), |b| {
+        b.iter(|| {
+            ops::im2col(black_box(x.data()), ch, h, w, g, &mut col);
+            gemm::gemm_into(
+                f,
+                l,
+                ckk,
+                ASource::Packed(&pa),
+                BSource::Cols(&col),
+                epi,
+                &mut out,
+            );
+            black_box(&out);
+        });
+    });
+
+    let mut y = Tensor::<f32>::zeros([1, f, oh, ow]);
+    group.bench_function(BenchmarkId::new("conv2d_fused", &shape), |b| {
+        b.iter(|| {
+            ops::conv2d_fused_into(
+                black_box(&x),
+                &wt,
+                Some(&pa),
+                &bias,
+                g,
+                Some(Act::Tanh),
+                &mut y,
+            )
+            .unwrap();
+            black_box(y.data());
+        });
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_gemm, bench_conv);
 criterion_main!(benches);

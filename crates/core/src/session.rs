@@ -316,7 +316,7 @@ impl SessionCore {
 
     /// Reserve this thread's inference workspace — activation arenas,
     /// normalization staging, the model-output swap buffer and the
-    /// per-layer GEMM scratch (weight packing, im2col columns; the scratch
+    /// per-layer GEMM scratch (weight packing, conv input staging; the scratch
     /// reserve is broadcast across every pool participant, so workers
     /// drafted into a parallel forward are warm too) — for the
     /// largest batch this session can see, once per

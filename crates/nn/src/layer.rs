@@ -107,7 +107,8 @@ pub trait Layer: Send + Sync {
     /// workspaces pre-size the scratch (on every pool thread, via
     /// `hpacml_par::broadcast`) so even a session's first invocation
     /// allocates nothing. `a` covers on-the-fly conv weight packs, `b`
-    /// uncompiled `Linear` weight panels, `col` im2col columns.
+    /// uncompiled `Linear` weight panels, `col` conv input staging (padded
+    /// planes or im2col columns).
     fn scratch_hint(&self, _in_dims: &[usize]) -> (usize, usize, usize) {
         (0, 0, 0)
     }
@@ -808,10 +809,12 @@ impl Layer for Conv2d {
         } else {
             0
         };
-        // The im2col column buffer is per-sample; both the GEMM route and
-        // the strided fallback stage through it.
+        // Per-sample staging: the GEMM route pads the input planes (stride
+        // 1) or builds im2col columns (other strides), and the strided
+        // fallback builds the same columns.
         if worthwhile || self.geom.stride != (1, 1) {
-            (a, 0, ckk * l)
+            let (c, h, w) = (in_dims[1], in_dims[2], in_dims[3]);
+            (a, 0, ops::conv_gemm_staging(c, h, w, self.geom))
         } else {
             (0, 0, 0)
         }

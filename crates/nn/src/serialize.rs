@@ -116,7 +116,7 @@ impl SavedModel {
     /// Pre-size `ws` for inference on inputs of `in_dims` (batch dimension
     /// included): the normalization staging buffer, both forward arenas and
     /// the calling thread's per-layer GEMM scratch (weight-pack panels,
-    /// im2col columns — see [`crate::ForwardWorkspace::reserve`] for the
+    /// conv input staging — see [`crate::ForwardWorkspace::reserve`] for the
     /// pool-worker caveat) grow once, so every later
     /// [`SavedModel::infer_with`] call at that batch — or any smaller one —
     /// performs zero heap allocation.

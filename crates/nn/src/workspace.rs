@@ -77,7 +77,7 @@ impl ForwardWorkspace {
     /// batch reuse the grown arenas — the zero-allocation guarantee of
     /// runtime-batched inference. Also pre-sizes the per-thread GEMM
     /// scratch (conv weight-pack blocks, weight panels for uncompiled
-    /// `Linear`s, im2col columns) from the layers' scratch hints — on
+    /// `Linear`s, conv input staging) from the layers' scratch hints — on
     /// **every pool participant**, via `hpacml_par::broadcast`, so neither
     /// this thread's first forward nor a worker's first stolen sample
     /// allocates anything. Returns the widest activation element count, so

@@ -1,5 +1,6 @@
 //! Counting-allocator proof that the **compiled** inference path — fused
-//! activations, pre-packed weight panels, im2col-through-GEMM convolution —
+//! activations, pre-packed weight panels, GEMM-route convolution (zero-copy
+//! at stride 1, im2col otherwise) —
 //! keeps the zero-allocation steady state, with the packing buffers owned
 //! by the model and the per-thread scratch (never the forward pass).
 //!
@@ -9,6 +10,7 @@
 
 use hpacml_nn::spec::{Activation, LayerSpec, ModelSpec};
 use hpacml_nn::ForwardWorkspace;
+use hpacml_tensor::gemm::WithScratch;
 use hpacml_tensor::Tensor;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -85,7 +87,8 @@ fn compiled_mlp_with_packed_weights_is_allocation_free() {
     );
 }
 
-/// The conv GEMM route stages im2col columns in this thread's grow-only
+/// The conv GEMM route stages its input (padded planes at stride 1, im2col
+/// columns at stride 2) in this thread's grow-only
 /// scratch; after `ForwardWorkspace::reserve`, even the *first* forward on
 /// this thread is allocation-free — including the strided convolution that
 /// used to allocate its column matrix per sample. (Pool workers drafted
@@ -131,6 +134,46 @@ fn compiled_cnn_gemm_route_is_allocation_free_after_reserve() {
         allocs, 0,
         "conv im2col/GEMM route must reuse the thread scratch from the first pass"
     );
+}
+
+/// The stencil CNN shape (4 → 4 → 4 channels, 3×3, pad 1, on a 32×64
+/// grid) at batch 1: both convolutions take the zero-copy stride-1 route,
+/// which stages only the padded input planes. `reserve` must size exactly
+/// that — `c·(h+2)·(w+2) + NR` elements, far below the `c·9·h·w` column
+/// matrix im2col would need — and every forward after it, the first one
+/// included, allocates nothing.
+#[test]
+fn zero_copy_conv_route_stages_padded_planes_without_allocating() {
+    let conv = |in_ch, out_ch| LayerSpec::Conv2d {
+        in_ch,
+        out_ch,
+        kernel: 3,
+        stride: 1,
+        pad: 1,
+    };
+    let spec = ModelSpec::new(
+        vec![4, 32, 64],
+        vec![conv(4, 4), LayerSpec::Tanh, conv(4, 4)],
+    );
+    let mut model = spec.build(13).unwrap();
+    hpacml_nn::compile_for_inference(&mut model);
+    let x = Tensor::from_shape_fn([1usize, 4, 32, 64], |ix| {
+        (ix[1] * 64 * 32 + ix[2] * 64 + ix[3]) as f32 * 1e-4 - 0.3
+    });
+    let mut ws = ForwardWorkspace::new();
+    ws.reserve(&model, x.dims()).unwrap();
+    let padded = 4 * 34 * 66 + hpacml_tensor::gemm::NR;
+    let staged = f32::with_gemm_scratch(|s| s.col.len());
+    assert_eq!(staged, padded, "reserve must size the padded planes");
+    assert!(staged < 4 * 9 * 32 * 64, "no column matrix is staged");
+    hpacml_par::pool::global();
+    let allocs = allocations_during(|| {
+        for _ in 0..100 {
+            ws.forward(&model, &x).unwrap();
+        }
+    });
+    assert_eq!(allocs, 0, "zero-copy conv route must not allocate");
+    assert_eq!(f32::with_gemm_scratch(|s| s.col.len()), padded);
 }
 
 /// Compiled and uncompiled forwards are bit-identical — fusion and packing

@@ -1,6 +1,6 @@
 //! Counting-allocator proof that the **parallel** forward path — the
-//! work-stealing dispatch, per-thread pack/im2col scratch, and both conv
-//! parallel routes — keeps the zero-allocation steady state.
+//! work-stealing dispatch, per-thread pack and conv-staging scratch, and
+//! both conv parallel routes — keeps the zero-allocation steady state.
 //!
 //! Unlike `alloc_free_compiled.rs` (thread-local counter, calling thread
 //! only), the counter here is **process-global**: an allocation on any
@@ -149,10 +149,59 @@ fn conv_sample_parallel_route_is_globally_allocation_free() {
     });
 }
 
+/// Sixteen filters over 4 channels, stride 1 only: every conv takes the
+/// zero-copy route, and with `f = 16` the batch-1 GEMM splits its filter
+/// rows into stripes that pool workers run, all reading the caller's
+/// padded planes. No thread may allocate, at batch 1 (row stripes) or
+/// batch 8 (each worker pads into its own scratch).
+#[test]
+fn zero_copy_conv_route_is_globally_allocation_free() {
+    let _serial = SERIAL.lock();
+    let conv = |in_ch, out_ch| LayerSpec::Conv2d {
+        in_ch,
+        out_ch,
+        kernel: 3,
+        stride: 1,
+        pad: 1,
+    };
+    let spec = ModelSpec::new(
+        vec![4, 24, 48],
+        vec![conv(4, 16), LayerSpec::Tanh, conv(16, 4), LayerSpec::ReLU],
+    );
+    let mut model = spec.build(9).unwrap();
+    hpacml_nn::compile_for_inference(&mut model);
+    let pool = Pool::new(7);
+    for batch in [1usize, 8] {
+        let x = Tensor::from_shape_fn([batch, 4, 24, 48], |ix| {
+            ((ix[0] + 2) * (ix[2] * 48 + ix[3])) as f32 * 0.001 - 0.3
+        });
+        with_pool(&pool, || {
+            let mut ws = ForwardWorkspace::new();
+            ws.reserve(&model, x.dims()).unwrap();
+            ws.forward(&model, &x).unwrap();
+            let allocs = global_allocations_during(|| {
+                for _ in 0..10 {
+                    ws.forward(&model, &x).unwrap();
+                }
+            });
+            assert_eq!(
+                allocs, 0,
+                "zero-copy conv at batch {batch} must not allocate on any thread"
+            );
+        });
+    }
+    assert!(
+        pool.stats().jobs > 0,
+        "the row stripes must have dispatched"
+    );
+}
+
 /// Batch 2 on a 7-worker pool starves the sample axis → the intra-sample
-/// route (parallel im2col fill + row-parallel GEMM). Run it *uncompiled*
-/// so the weight also packs into the per-thread A scratch each forward —
-/// the most allocation-prone variant of the new route.
+/// route (samples in turn on the caller, each GEMM row-parallel; the
+/// stride-1 layer reads its padded planes in place, the stride-2 layer
+/// stages im2col columns). Run it *uncompiled* so the weight also packs
+/// into the per-thread A scratch each forward — the most
+/// allocation-prone variant of the route.
 #[test]
 fn conv_intra_sample_route_is_globally_allocation_free() {
     let _serial = SERIAL.lock();

@@ -40,6 +40,12 @@ use std::path::{Path, PathBuf};
 const MAGIC_V1: &[u8; 8] = b"H5LITE01";
 const MAGIC_V2: &[u8; 8] = b"H5LITE02";
 
+/// Deepest group nesting the decoders follow, counted in groups below the
+/// root (the same bound as a dataset's rank). The decoders recurse once
+/// per level and an empty nested group costs a few dozen bytes, so without
+/// a cap a small crafted file overflows the stack.
+const MAX_GROUP_DEPTH: usize = 64;
+
 /// What [`H5File::open`] had to do to rescue a damaged file. Present only
 /// when something was actually dropped or cut short; a clean open carries
 /// no report.
@@ -117,7 +123,7 @@ impl H5File {
                 (root, Some(report))
             }
         } else if magic == MAGIC_V1 {
-            (decode_group_v1(&mut buf)?, None)
+            (decode_group_v1(&mut buf, 0)?, None)
         } else {
             return Err(StoreError::BadMagic);
         };
@@ -316,14 +322,20 @@ fn decode_root_v2(buf: &mut Reader, report: &mut RecoveryReport) -> Group {
             buf.rest()
         }
     };
-    decode_group_v2(Reader::new(body), "", report)
+    decode_group_v2(Reader::new(body), "", 0, report)
 }
 
 /// Lenient v2 group decoder: returns every child that survives its own
 /// checksum, records the rest in `report`, and never fails. When the
 /// enclosing block's checksum matched, this decodes the full group exactly
-/// as written.
-fn decode_group_v2(mut buf: Reader, path: &str, report: &mut RecoveryReport) -> Group {
+/// as written. `depth` counts the groups between the root and this one;
+/// child groups past [`MAX_GROUP_DEPTH`] are dropped unread.
+fn decode_group_v2(
+    mut buf: Reader,
+    path: &str,
+    depth: usize,
+    report: &mut RecoveryReport,
+) -> Group {
     let mut g = Group::new();
     let Ok(n_attrs) = buf.u32() else {
         report.truncated = true;
@@ -352,12 +364,20 @@ fn decode_group_v2(mut buf: Reader, path: &str, report: &mut RecoveryReport) -> 
             return g;
         };
         let full = child_path(path, &name);
+        if kind == 0 && depth == MAX_GROUP_DEPTH {
+            report.dropped.push(full);
+            if buf.bytes(len).is_err() {
+                report.truncated = true;
+                return g;
+            }
+            continue;
+        }
         let Ok(body) = buf.bytes(len) else {
             // Truncated tail: salvage what the cut left of a group child;
             // a cut dataset payload cannot be trusted row-by-row, drop it.
             report.truncated = true;
             if kind == 0 {
-                let child = decode_group_v2(Reader::new(buf.rest()), &full, report);
+                let child = decode_group_v2(Reader::new(buf.rest()), &full, depth + 1, report);
                 g.insert_child(name, Node::Group(child));
             } else {
                 report.dropped.push(full);
@@ -370,7 +390,7 @@ fn decode_group_v2(mut buf: Reader, path: &str, report: &mut RecoveryReport) -> 
                 if !sound {
                     report.salvaged.push(full.clone());
                 }
-                let child = decode_group_v2(Reader::new(body), &full, report);
+                let child = decode_group_v2(Reader::new(body), &full, depth + 1, report);
                 g.insert_child(name, Node::Group(child));
             }
             1 if sound => match decode_dataset(&mut Reader::new(body)) {
@@ -386,7 +406,9 @@ fn decode_group_v2(mut buf: Reader, path: &str, report: &mut RecoveryReport) -> 
 }
 
 /// Strict legacy decoder for v1 files (no per-block framing, no checksums).
-fn decode_group_v1(buf: &mut Reader) -> Result<Group> {
+/// `depth` counts the groups between the root and this one; nesting past
+/// [`MAX_GROUP_DEPTH`] is `Corrupt`.
+fn decode_group_v1(buf: &mut Reader, depth: usize) -> Result<Group> {
     let mut g = Group::new();
     for _ in 0..buf.u32()? {
         let (name, attr) = decode_attr(buf)?;
@@ -395,8 +417,13 @@ fn decode_group_v1(buf: &mut Reader) -> Result<Group> {
     for _ in 0..buf.u32()? {
         let name = buf.str()?;
         match buf.u8()? {
+            0 if depth == MAX_GROUP_DEPTH => {
+                return Err(StoreError::Corrupt(format!(
+                    "groups nested deeper than {MAX_GROUP_DEPTH}"
+                )))
+            }
             0 => {
-                let child = decode_group_v1(buf)?;
+                let child = decode_group_v1(buf, depth + 1)?;
                 g.insert_child(name, Node::Group(child));
             }
             1 => {

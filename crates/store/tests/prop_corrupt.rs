@@ -315,3 +315,107 @@ fn recovered_rows_are_bit_exact() {
         vec![0, 1, 2, 3]
     );
 }
+
+/// Nesting depth of the hand-built deep files: far past the decoders'
+/// 64-level cap, and deep enough that one stack frame per level overflows
+/// a 2 MiB test-thread stack.
+const DEEP: usize = 10_000;
+
+/// `levels` empty groups below the root, each the only child `g` of the
+/// one above: `g/g/…/g`.
+fn chain_path(levels: usize) -> String {
+    vec!["g"; levels].join("/")
+}
+
+/// How many groups hang below `root` along the `g` chain.
+fn chain_depth(root: &Group) -> usize {
+    let mut depth = 0;
+    let mut g = root;
+    while let Ok(child) = g.group("g") {
+        depth += 1;
+        g = child;
+    }
+    depth
+}
+
+/// A v1 file whose root holds a chain of `levels` nested empty groups.
+fn deep_v1(levels: usize) -> Vec<u8> {
+    let mut buf = b"H5LITE01".to_vec();
+    for _ in 0..levels {
+        buf.extend_from_slice(&0u32.to_le_bytes()); // no attrs
+        buf.extend_from_slice(&1u32.to_le_bytes()); // one child
+        buf.extend_from_slice(&1u32.to_le_bytes());
+        buf.extend_from_slice(b"g");
+        buf.push(0); // a group
+    }
+    buf.extend_from_slice(&[0; 8]); // innermost: no attrs, no children
+    buf
+}
+
+/// The same chain as a v2 file. Block lengths are always right; checksums
+/// are real when `checksums` is set and zero otherwise, in which case every
+/// level decodes through salvage.
+fn deep_v2(levels: usize, checksums: bool) -> Vec<u8> {
+    fn put_block(buf: &mut Vec<u8>, body: &[u8], checksums: bool) {
+        let cksum = if checksums {
+            hpacml_faults::fnv1a64(body)
+        } else {
+            0
+        };
+        buf.extend_from_slice(&(body.len() as u64).to_le_bytes());
+        buf.extend_from_slice(&cksum.to_le_bytes());
+        buf.extend_from_slice(body);
+    }
+    let mut body = vec![0u8; 8]; // innermost: no attrs, no children
+    for _ in 0..levels {
+        let mut outer = Vec::with_capacity(body.len() + 30);
+        outer.extend_from_slice(&0u32.to_le_bytes());
+        outer.extend_from_slice(&1u32.to_le_bytes());
+        outer.extend_from_slice(&1u32.to_le_bytes());
+        outer.extend_from_slice(b"g");
+        outer.push(0);
+        put_block(&mut outer, &body, checksums);
+        body = outer;
+    }
+    let mut file = b"H5LITE02".to_vec();
+    put_block(&mut file, &body, checksums);
+    file
+}
+
+/// v1 decodes a chain of exactly 64 nested groups and rejects 65 — and
+/// 10^4 — as `Corrupt` instead of recursing once per level.
+#[test]
+fn v1_group_nesting_is_capped() {
+    let path = tmp("v1-deep-64.h5lite");
+    std::fs::write(&path, deep_v1(64)).unwrap();
+    assert_eq!(chain_depth(H5File::open(&path).unwrap().root()), 64);
+    for levels in [65, DEEP] {
+        let path = tmp(&format!("v1-deep-{levels}.h5lite"));
+        std::fs::write(&path, deep_v1(levels)).unwrap();
+        assert!(
+            matches!(H5File::open(&path), Err(StoreError::Corrupt(_))),
+            "{levels} nested groups"
+        );
+    }
+}
+
+/// v2 keeps the first 64 levels and reports the group below them as
+/// dropped, whether the checksums hold (65 levels) or every level is
+/// salvaged (10^4 levels).
+#[test]
+fn v2_group_nesting_is_capped() {
+    for (levels, checksums) in [(64, true), (65, true), (DEEP, false)] {
+        let path = tmp(&format!("v2-deep-{levels}.h5lite"));
+        std::fs::write(&path, deep_v2(levels, checksums)).unwrap();
+        let f = H5File::open(&path).unwrap();
+        assert_eq!(chain_depth(f.root()), levels.min(64), "{levels} levels");
+        if levels == 64 {
+            assert!(f.recovery().is_none(), "64 levels are within the cap");
+            continue;
+        }
+        let report = f.recovery().expect("a dropped subtree is reported");
+        assert_eq!(report.dropped, vec![chain_path(65)], "{levels} levels");
+        assert!(!report.truncated);
+        assert_eq!(report.salvaged.len(), if checksums { 0 } else { 65 });
+    }
+}

@@ -443,37 +443,198 @@ pub enum BSource<'a, T: Scalar> {
     Cols(&'a [T]),
     /// Pre-packed `NR`-wide zero-padded panels (see [`PackedB`]).
     Packed(&'a PackedB<T>),
+    /// The column matrix of a stride-1 convolution, read straight out of
+    /// the padded input planes instead of being built (see
+    /// [`PaddedPlanes`]).
+    Conv(PaddedPlanes<'a, T>),
+}
+
+/// One sample's input planes, zero-padded once, viewed as the
+/// `[c*kh*kw, oh*ow]` `B` operand of a stride-1 convolution — the matrix
+/// im2col would write, never materialized.
+///
+/// `data[(ch * hp + y) * wp + x]` is input pixel `(ch, y - ph, x - pw)`,
+/// or zero on the padding ring, followed by at least [`NR`] slack
+/// elements. Tap `kk = (ch * kh + ki) * kw + kj` at output pixel
+/// `(oy, ox)` then sits at `data[oy * wp + ox + tap(kk)]`, with
+/// `tap(kk) = ch * hp * wp + ki * wp + kj`, so one panel — `NR`
+/// consecutive `ox` of one output row — is `NR` contiguous elements per
+/// tap. Panels never cross an output row: the last one of a row computes
+/// its `NR - cols` spare lanes from whatever follows (the next row, or the
+/// slack) and the store drops them. The values the kept lanes read are
+/// exactly the ones im2col copies, zeros included, so the route is
+/// bit-identical to im2col + [`BSource::Cols`].
+#[derive(Clone, Copy)]
+pub struct PaddedPlanes<'a, T> {
+    data: &'a [T],
+    channels: usize,
+    hp: usize,
+    wp: usize,
+    kernel: (usize, usize),
+}
+
+impl<'a, T: Scalar> PaddedPlanes<'a, T> {
+    /// View `data` (laid out as in the type docs) as the `B` operand of a
+    /// `kernel`-sized stride-1 convolution. Panics if `data` is shorter than
+    /// `channels * hp * wp + NR` or the kernel does not fit the planes.
+    pub fn new(
+        data: &'a [T],
+        channels: usize,
+        hp: usize,
+        wp: usize,
+        kernel: (usize, usize),
+    ) -> Self {
+        assert!(
+            data.len() >= channels * hp * wp + NR,
+            "PaddedPlanes: buffer lacks the planes or the NR slack"
+        );
+        assert!(
+            (1..=hp).contains(&kernel.0) && (1..=wp).contains(&kernel.1),
+            "PaddedPlanes: kernel {kernel:?} does not fit {hp}x{wp} planes"
+        );
+        PaddedPlanes {
+            data,
+            channels,
+            hp,
+            wp,
+            kernel,
+        }
+    }
+
+    /// Output extent `(oh, ow)`: the `B` operand has `oh * ow` columns.
+    pub fn out_hw(&self) -> (usize, usize) {
+        (self.hp + 1 - self.kernel.0, self.wp + 1 - self.kernel.1)
+    }
+
+    /// Taps per output pixel, `c * kh * kw`: the `B` operand's `k`.
+    pub fn taps(&self) -> usize {
+        self.channels * self.kernel.0 * self.kernel.1
+    }
+
+    /// Offset of tap `kk` from its output pixel's position in `data`.
+    #[inline]
+    fn tap(&self, kk: usize) -> usize {
+        let (kh, kw) = self.kernel;
+        let (ch, ki, kj) = (kk / (kh * kw), kk / kw % kh, kk % kw);
+        (ch * self.hp + ki) * self.wp + kj
+    }
 }
 
 // ---------------------------------------------------------------------------
 // Micro-kernel
 // ---------------------------------------------------------------------------
 
+/// How the micro-kernel reads its `B` slab: `row(kk)` returns the `NR`
+/// lanes `B[k0 + kk, j0 .. j0 + NR]` of the panel being computed. Every
+/// operand layout is one implementation of this, so one kernel body serves
+/// them all: packed panels and row-major `B` (a fixed row stride), the
+/// zero-copy convolution (a tap offset per row) and the quantized panels
+/// of [`crate::quant`] (decoded as they load).
+pub(crate) trait BRows<T>: Copy {
+    fn row(&self, kk: usize) -> [T; NR];
+}
+
+/// `B` rows at a fixed stride: row `kk` is `b[kk * ld ..][.. NR]`.
+#[derive(Clone, Copy)]
+struct Strided<'a, T> {
+    b: &'a [T],
+    ld: usize,
+}
+
+impl<T: Scalar> BRows<T> for Strided<'_, T> {
+    #[inline(always)]
+    fn row(&self, kk: usize) -> [T; NR] {
+        lanes(&self.b[kk * self.ld..])
+    }
+}
+
+/// `B` rows at per-row offsets: row `kk` is `b[taps[kk] ..][.. NR]`.
+#[derive(Clone, Copy)]
+struct Tapped<'a, T> {
+    b: &'a [T],
+    taps: &'a [usize],
+}
+
+impl<T: Scalar> BRows<T> for Tapped<'_, T> {
+    #[inline(always)]
+    fn row(&self, kk: usize) -> [T; NR] {
+        lanes(&self.b[self.taps[kk]..])
+    }
+}
+
+/// The first `NR` elements of `s` as a register row.
+#[inline(always)]
+pub(crate) fn lanes<T: Copy>(s: &[T]) -> [T; NR] {
+    let row: &[T; NR] = s[..NR].try_into().expect("slice of NR lanes");
+    *row
+}
+
+/// One `M`-row block of the `A` operand, positioned at its slab start.
+#[derive(Clone, Copy)]
+pub(crate) enum ABlock<'a, T> {
+    /// An `MR`-interleaved [`PackedA`] block: `A[row0+i, k0+kk]` is
+    /// `a[kk * MR + i]`.
+    Packed(&'a [T]),
+    /// Row-major rows `ld` apart: `A[row0+i, k0+kk]` is `a[i * ld + kk]`.
+    Rows(&'a [T], usize),
+}
+
+impl<T: Copy> ABlock<'_, T> {
+    /// `A[row0+i, k0+kk]`.
+    #[inline]
+    fn at(&self, i: usize, kk: usize) -> T {
+        match *self {
+            ABlock::Packed(a) => a[kk * MR + i],
+            ABlock::Rows(a, ld) => a[i * ld + kk],
+        }
+    }
+}
+
+/// One `k`-step of one tile row: `acc[j] += av * b[j]` on all `NR` lanes.
+/// Always inlined, so after the kernel's row loop unrolls every tile row
+/// is its own register-resident accumulator.
+#[inline(always)]
+fn row_update<T: Scalar>(acc: &mut [T; NR], av: T, b: &[T; NR]) {
+    for (v, bj) in acc.iter_mut().zip(b) {
+        // One chain per element; mul+add (not mul_add) so targets without
+        // FMA autovectorize instead of calling libm, and the sum matches
+        // the naive reference bit for bit.
+        *v += av * *bj;
+    }
+}
+
 /// The register-tiled micro-kernel: `M × NR` accumulator tile over a
 /// `klen`-deep slab.
 ///
-/// * `a[kk * a_kk + i * a_i]` is `A[row0+i, k0+kk]` — strides cover packed
-///   (`a_kk = MR, a_i = 1`), row-major (`a_kk = 1, a_i = k`) and
-///   single-row (`a_kk = 1, a_i = 0`) layouts with one body.
-/// * `b[kk * b_kk + j]` is `B[k0+kk, j0+j]`, contiguous over `j` in both
-///   packed (`b_kk = NR`) and row-major (`b_kk = n`) layouts.
+/// * `a` is the tile's `M` rows of `A` (see [`ABlock`]), cut up front into
+///   `klen` packed columns or `M` rows of `klen` so that the loop carries
+///   no bounds checks on `A`.
+/// * `b.row(kk)` is `B[k0+kk, j0..j0+NR]` (see [`BRows`]).
 /// * `accumulate` resumes a previous slab's partials from `c`;
 ///   `finish` applies the epilogue (only on the last slab).
 ///
 /// Every `acc[i][j]` is one add-chain in ascending `kk` — the determinism
 /// contract of the module.
+///
+/// Codegen: the whole tile has to stay in registers through the `k`-loop.
+/// What gets there is the shape of [`k_loop`] — one named accumulator per
+/// tile row, each updated by the always-inlined `NR`-lane [`row_update`],
+/// with `c` read and written only outside the loop and only through whole
+/// rows ([`load_row`]/[`store_row`]), never indexed by the run-time
+/// `cols`. Indexing the tile by a run-time value forces it into memory, and
+/// the loop then adds into the stack on every step; a loop over the tile's
+/// rows (`zip`, `array::from_fn`, `iter_mut`) lets LLVM vectorize across
+/// the row axis with gathers and scatters instead, at a tenth of the
+/// speed. To check a build, disassemble the `micro_tile` instances
+/// (`objdump -d --no-show-raw-insn -C` on a test or bench binary): the
+/// `k`-loop must hold no `(%rsp)` operand and no `vgather`/`vscatter`.
 // allow: GEMM kernel plumbing — dims, panel slices and strides stay
 // individual scalars so they live in registers through the tile loops.
 #[allow(clippy::too_many_arguments)]
-#[inline(never)] // keep the hot loop a small, standalone optimization unit:
-                 // inlined into the (large) macro-kernel, LLVM runs out of unroll budget,
-                 // spills the accumulator tile to the stack and never vectorizes it.
-fn micro_tile<T: Scalar, const M: usize>(
-    a: &[T],
-    a_kk: usize,
-    a_i: usize,
-    b: &[T],
-    b_kk: usize,
+#[inline(never)] // keep the hot loop a small, standalone optimization unit
+pub(crate) fn micro_tile<T: Scalar, B: BRows<T>, const M: usize>(
+    a: ABlock<'_, T>,
+    b: B,
     klen: usize,
     c: &mut [T],
     ldc: usize,
@@ -483,61 +644,115 @@ fn micro_tile<T: Scalar, const M: usize>(
 ) {
     let mut acc = [[T::ZERO; NR]; M];
     if accumulate {
-        for (i, arow) in acc.iter_mut().enumerate() {
-            for (j, v) in arow.iter_mut().enumerate().take(cols) {
-                *v = c[i * ldc + j];
-            }
+        for (i, row) in acc.iter_mut().enumerate() {
+            *row = load_row(&c[i * ldc..], cols);
         }
     }
-    for kk in 0..klen {
-        let brow = &b[kk * b_kk..kk * b_kk + NR];
-        let abase = kk * a_kk;
-        for (i, arow) in acc.iter_mut().enumerate() {
-            let av = a[abase + i * a_i];
-            for (j, v) in arow.iter_mut().enumerate() {
-                // One chain per element; mul+add (not mul_add) so targets
-                // without FMA autovectorize instead of calling libm, and
-                // the sum matches the naive reference bit for bit.
-                *v += av * brow[j];
-            }
+    let mut acc = match a {
+        ABlock::Packed(a) => {
+            let cols = &a.as_chunks::<MR>().0[..klen];
+            k_loop(acc, |i, kk| cols[kk][i], b, klen)
         }
-    }
+        ABlock::Rows(a, ld) => {
+            let rows: [&[T]; M] = std::array::from_fn(|i| &a[i * ld..][..klen]);
+            k_loop(acc, |i, kk| rows[i][kk], b, klen)
+        }
+    };
     if let Some((epi, row0, col0)) = finish {
         finish_tile::<T, M>(&mut acc, epi, row0, col0, cols);
     }
-    for (i, arow) in acc.iter().enumerate() {
-        c[i * ldc..i * ldc + cols].copy_from_slice(&arow[..cols]);
+    for (i, row) in acc.iter().enumerate() {
+        store_row(&mut c[i * ldc..], row, cols);
     }
 }
 
-/// Apply the fused epilogue to one register tile — shared by the f32/f64
-/// micro-kernel above and the quantized micro-kernels in [`crate::quant`],
-/// so every precision runs the *same* float expression after its `k`-sum.
+/// The `k`-loop of [`micro_tile`] on a tile of its own, taken and
+/// returned by value, with one named accumulator per tile row: nothing
+/// indexes these at run time, and no loop runs over the row axis for the
+/// vectorizer to turn into gathers, so each row stays a register-resident
+/// `NR`-lane vector. `a_at(i, kk)` is `A[row0+i, k0+kk]`.
+#[inline(always)]
+fn k_loop<T: Scalar, B: BRows<T>, const M: usize>(
+    acc: [[T; NR]; M],
+    a_at: impl Fn(usize, usize) -> T,
+    b: B,
+    klen: usize,
+) -> [[T; NR]; M] {
+    macro_rules! rows {
+        ($($r:ident $i:literal),+) => {{
+            let [$(mut $r),+] = retile(acc);
+            for kk in 0..klen {
+                let brow = b.row(kk);
+                $(row_update(&mut $r, a_at($i, kk), &brow);)+
+            }
+            retile([$($r),+])
+        }};
+    }
+    const { assert!(MR == 8, "one arm per tile height") };
+    match M {
+        8 => rows!(r0 0, r1 1, r2 2, r3 3, r4 4, r5 5, r6 6, r7 7),
+        4 => rows!(r0 0, r1 1, r2 2, r3 3),
+        2 => rows!(r0 0, r1 1),
+        1 => rows!(r0 0),
+        _ => unreachable!("tile heights are 8, 4, 2 and 1"),
+    }
+}
+
+/// An `[U; P]` as an `[U; Q]` when `P == Q`: lets [`k_loop`] name the
+/// rows of a tile whose height is a const parameter.
+#[inline(always)]
+fn retile<U: Copy, const P: usize, const Q: usize>(x: [U; P]) -> [U; Q] {
+    x[..].try_into().expect("equal tile heights")
+}
+
+/// The first `cols` elements of `src` as a register row (spare lanes 0).
+#[inline(always)]
+fn load_row<T: Scalar>(src: &[T], cols: usize) -> [T; NR] {
+    if cols == NR {
+        return lanes(src);
+    }
+    let mut row = [T::ZERO; NR];
+    row[..cols].copy_from_slice(&src[..cols]);
+    row
+}
+
+/// Store the first `cols` lanes of `row` into `dst`.
+#[inline(always)]
+fn store_row<T: Scalar>(dst: &mut [T], row: &[T; NR], cols: usize) {
+    if cols == NR {
+        dst[..NR].copy_from_slice(row);
+    } else {
+        let row = *row;
+        dst[..cols].copy_from_slice(&row[..cols]);
+    }
+}
+
+/// Apply the fused epilogue to one register tile — part of the one
+/// micro-kernel every precision runs, so bias/activation are the *same*
+/// float expression after every `k`-sum.
 ///
 /// Branch-free full-width passes over the register tile: the
 /// bias/activation selectors are matched once per row, never per element,
 /// so each pass vectorizes like the k-loop. Padding lanes past `cols`
 /// compute garbage and are clipped by the caller's store.
 #[inline(always)]
-pub(crate) fn finish_tile<T: Scalar, const M: usize>(
+fn finish_tile<T: Scalar, const M: usize>(
     acc: &mut [[T; NR]; M],
     epi: &Epilogue<'_, T>,
     row0: usize,
     col0: usize,
     cols: usize,
 ) {
+    let col_bias = match epi.bias {
+        Bias::Col(bias) => load_row(&bias[col0..], cols),
+        _ => [T::ZERO; NR],
+    };
     for (i, arow) in acc.iter_mut().enumerate() {
         match epi.bias {
             Bias::None => {}
-            Bias::Col(bias) if cols == NR => {
-                let bs = &bias[col0..col0 + NR];
-                for (v, b) in arow.iter_mut().zip(bs) {
+            Bias::Col(_) => {
+                for (v, b) in arow.iter_mut().zip(&col_bias) {
                     *v += *b;
-                }
-            }
-            Bias::Col(bias) => {
-                for (j, v) in arow.iter_mut().enumerate().take(cols) {
-                    *v += bias[col0 + j];
                 }
             }
             Bias::Row(bias) => {
@@ -629,7 +844,9 @@ pub fn gemm_into<T: Scalar>(
 /// hook behind the determinism guarantee ("results do not depend on
 /// `kc`"). `c` must be a row-major `[m, n]` slice; every element is
 /// overwritten. Panics on operand/size mismatches (callers validate
-/// shapes; the tensor-level wrappers return errors instead).
+/// shapes; the tensor-level wrappers return errors instead). A
+/// [`BSource::Conv`] operand walks slabs of at most [`KC`] taps, whatever
+/// `kc` asks for: its tap offsets are tabled per slab on the stack.
 // allow: GEMM kernel plumbing — dims, panel slices and strides stay
 // individual scalars so they live in registers through the tile loops.
 #[allow(clippy::too_many_arguments)]
@@ -643,55 +860,200 @@ pub fn gemm_into_kc<T: Scalar>(
     c: &mut [T],
     kc: usize,
 ) {
-    assert_eq!(c.len(), m * n, "gemm: bad C length");
     match a {
         ASource::Rows(ad) => assert_eq!(ad.len(), m * k, "gemm: bad A length"),
         ASource::Packed(pa) => {
             assert_eq!((pa.m(), pa.k()), (m, k), "gemm: PackedA dims mismatch")
         }
     }
-    match b {
-        BSource::Cols(bd) => assert_eq!(bd.len(), k * n, "gemm: bad B length"),
+    let kc = match b {
+        BSource::Cols(bd) => {
+            assert_eq!(bd.len(), k * n, "gemm: bad B length");
+            kc
+        }
         BSource::Packed(pb) => {
-            assert_eq!((pb.k(), pb.n()), (k, n), "gemm: PackedB dims mismatch")
+            assert_eq!((pb.k(), pb.n()), (k, n), "gemm: PackedB dims mismatch");
+            kc
+        }
+        BSource::Conv(pp) => {
+            let (oh, ow) = pp.out_hw();
+            assert_eq!(
+                (pp.taps(), oh * ow),
+                (k, n),
+                "gemm: PaddedPlanes dims mismatch"
+            );
+            kc.min(KC)
+        }
+    };
+    run_stripes(m, n, k, a, b, &epi, c, kc);
+}
+
+/// A `B` operand the macro-kernel can drive: it sweeps the `NR`-wide
+/// column panels of one `M`-row block of `C` over one `k` slab. Row
+/// stripes, slabs and the 8/4/2/1 row-block step-down live in
+/// [`run_stripes`], shared by every operand — f32 sources here, quantized
+/// panels in [`crate::quant`].
+pub(crate) trait Panels<T: Scalar>: Copy + Sync {
+    /// `c` holds the block's `M` rows (`ldc == n`); `a` is the block's
+    /// `A` at slab start.
+    // allow: GEMM kernel plumbing — see micro_tile.
+    #[allow(clippy::too_many_arguments)]
+    fn sweep<const M: usize>(
+        &self,
+        a: ABlock<'_, T>,
+        n: usize,
+        k0: usize,
+        klen: usize,
+        c: &mut [T],
+        row0: usize,
+        accumulate: bool,
+        epi: Option<&Epilogue<'_, T>>,
+    );
+}
+
+impl<T: Scalar> Panels<T> for BSource<'_, T> {
+    fn sweep<const M: usize>(
+        &self,
+        a: ABlock<'_, T>,
+        n: usize,
+        k0: usize,
+        klen: usize,
+        c: &mut [T],
+        row0: usize,
+        accumulate: bool,
+        epi: Option<&Epilogue<'_, T>>,
+    ) {
+        match *self {
+            BSource::Packed(pb) => {
+                for p in 0..pb.panels() {
+                    let j0 = p * NR;
+                    micro_tile::<T, _, M>(
+                        a,
+                        Strided {
+                            b: pb.panel_slab(p, k0),
+                            ld: NR,
+                        },
+                        klen,
+                        &mut c[j0..],
+                        n,
+                        NR.min(n - j0),
+                        accumulate,
+                        epi.map(|e| (e, row0, j0)),
+                    );
+                }
+            }
+            BSource::Cols(bd) => {
+                let slab = &bd[k0 * n..];
+                let full = n / NR;
+                for p in 0..full {
+                    let j0 = p * NR;
+                    micro_tile::<T, _, M>(
+                        a,
+                        Strided {
+                            b: &slab[j0..],
+                            ld: n,
+                        },
+                        klen,
+                        &mut c[j0..],
+                        n,
+                        NR,
+                        accumulate,
+                        epi.map(|e| (e, row0, j0)),
+                    );
+                }
+                if full * NR < n {
+                    tail_cols(
+                        |i, kk| a.at(i, kk),
+                        M,
+                        slab,
+                        n,
+                        full * NR..n,
+                        klen,
+                        c,
+                        n,
+                        accumulate,
+                        epi.map(|e| (e, row0)),
+                    );
+                }
+            }
+            BSource::Conv(pp) => {
+                // `gemm_into_kc` caps conv slabs at KC taps.
+                let mut taps = [0usize; KC];
+                let taps = &mut taps[..klen];
+                for (kk, t) in taps.iter_mut().enumerate() {
+                    *t = pp.tap(k0 + kk);
+                }
+                let (oh, ow) = pp.out_hw();
+                for oy in 0..oh {
+                    for ox0 in (0..ow).step_by(NR) {
+                        let j0 = oy * ow + ox0;
+                        micro_tile::<T, _, M>(
+                            a,
+                            Tapped {
+                                b: &pp.data[oy * pp.wp + ox0..],
+                                taps,
+                            },
+                            klen,
+                            &mut c[j0..],
+                            n,
+                            NR.min(ow - ox0),
+                            accumulate,
+                            epi.map(|e| (e, row0, j0)),
+                        );
+                    }
+                }
+            }
         }
     }
-    if let Bias::Col(bias) = epi.bias {
-        assert_eq!(bias.len(), n, "gemm: col bias length");
-    }
-    if let Bias::Row(bias) = epi.bias {
-        assert_eq!(bias.len(), m, "gemm: row bias length");
+}
+
+/// Run the macro-kernel over all of `C`: row stripes are the parallel
+/// axis, aligned to `MR` so every stripe starts on a register-tile
+/// boundary.
+// allow: GEMM kernel plumbing — see micro_tile.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_stripes<T: Scalar, B: Panels<T>>(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: ASource<'_, T>,
+    b: B,
+    epi: &Epilogue<'_, T>,
+    c: &mut [T],
+    kc: usize,
+) {
+    assert_eq!(c.len(), m * n, "gemm: bad C length");
+    match epi.bias {
+        Bias::None => {}
+        Bias::Col(bias) => assert_eq!(bias.len(), n, "gemm: col bias length"),
+        Bias::Row(bias) => assert_eq!(bias.len(), m, "gemm: row bias length"),
     }
     if m == 0 || n == 0 {
         return;
     }
     let kc = kc.max(1);
-
-    // Row stripes are the parallel axis; align the grain to MR rows so
-    // every stripe starts on a register-tile boundary.
     if par_worthwhile(m, n, k) {
         let rows = par_rows_per_block(m, n, k).div_ceil(MR) * MR;
         hpacml_par::par_chunks_mut(c, rows * n, |start, stripe| {
-            stripe_body(start / n, stripe, m, n, k, a, b, &epi, kc);
+            stripe_body(start / n, stripe, n, k, a, b, epi, kc);
         });
     } else {
-        stripe_body(0, c, m, n, k, a, b, &epi, kc);
+        stripe_body(0, c, n, k, a, b, epi, kc);
     }
 }
 
 /// Compute one C row-stripe (`row0 ..` covering `stripe.len() / n` rows),
-/// walking `k` in `kc`-deep slabs and `n` in `NR`-wide panels.
+/// walking `k` in `kc`-deep slabs; `b` sweeps the column panels.
 // allow: GEMM kernel plumbing — dims, panel slices and strides stay
 // individual scalars so they live in registers through the tile loops.
 #[allow(clippy::too_many_arguments)]
-fn stripe_body<T: Scalar>(
+fn stripe_body<T: Scalar, B: Panels<T>>(
     row0: usize,
     stripe: &mut [T],
-    _m: usize,
     n: usize,
     k: usize,
     a: ASource<'_, T>,
-    b: BSource<'_, T>,
+    b: B,
     epi: &Epilogue<'_, T>,
     kc: usize,
 ) {
@@ -701,36 +1063,25 @@ fn stripe_body<T: Scalar>(
         let k0 = slab * kc;
         let klen = kc.min(k - k0);
         let accumulate = slab > 0;
-        let last = slab + 1 == slabs;
+        let epi = (slab + 1 == slabs).then_some(epi);
 
         let mut r = 0;
         // Full MR-row register tiles. Stripes start MR-aligned by
         // construction, so `row0 + r` is always a block boundary here.
         while rows - r >= MR {
             let row = row0 + r;
-            let (ab, a_kk, a_i): (&[T], usize, usize) = match a {
-                ASource::Rows(ad) => (&ad[row * k + k0..], 1, k),
+            let ab = match a {
+                ASource::Rows(ad) => ABlock::Rows(&ad[row * k + k0..], k),
                 ASource::Packed(pa) => {
                     // `row + MR <= m` here, and PackedA blocks cover the
                     // first `m - m % MR` rows, so this block is always in
                     // the packed region.
                     debug_assert!(row / MR < pa.blocks);
-                    (pa.block_slab(row / MR, k0), MR, 1)
+                    ABlock::Packed(pa.block_slab(row / MR, k0))
                 }
             };
-            panel_sweep::<T, MR>(
-                ab,
-                a_kk,
-                a_i,
-                b,
-                n,
-                k0,
-                klen,
-                &mut stripe[r * n..(r + MR) * n],
-                row,
-                accumulate,
-                last.then_some(epi),
-            );
+            let c = &mut stripe[r * n..(r + MR) * n];
+            b.sweep::<MR>(ab, n, k0, klen, c, row, accumulate, epi);
             r += MR;
         }
         // Remainder rows (< MR): step down through 4/2/1-row tiles so even
@@ -740,132 +1091,25 @@ fn stripe_body<T: Scalar>(
         // changes results.
         while r < rows {
             let row = row0 + r;
-            let left = rows - r;
-            let (ab, a_i): (&[T], usize) = match a {
-                ASource::Rows(ad) => (&ad[row * k + k0..], k),
-                ASource::Packed(pa) => (&pa.rem_rows(row)[k0..], pa.k),
+            let ab = match a {
+                ASource::Rows(ad) => ABlock::Rows(&ad[row * k + k0..], k),
+                ASource::Packed(pa) => ABlock::Rows(&pa.rem_rows(row)[k0..], pa.k),
             };
+            let left = rows - r;
             let step = if left >= 4 {
-                panel_sweep::<T, 4>(
-                    ab,
-                    1,
-                    a_i,
-                    b,
-                    n,
-                    k0,
-                    klen,
-                    &mut stripe[r * n..(r + 4) * n],
-                    row,
-                    accumulate,
-                    last.then_some(epi),
-                );
                 4
             } else if left >= 2 {
-                panel_sweep::<T, 2>(
-                    ab,
-                    1,
-                    a_i,
-                    b,
-                    n,
-                    k0,
-                    klen,
-                    &mut stripe[r * n..(r + 2) * n],
-                    row,
-                    accumulate,
-                    last.then_some(epi),
-                );
                 2
             } else {
-                panel_sweep::<T, 1>(
-                    ab,
-                    1,
-                    0,
-                    b,
-                    n,
-                    k0,
-                    klen,
-                    &mut stripe[r * n..(r + 1) * n],
-                    row,
-                    accumulate,
-                    last.then_some(epi),
-                );
                 1
             };
+            let c = &mut stripe[r * n..(r + step) * n];
+            match step {
+                4 => b.sweep::<4>(ab, n, k0, klen, c, row, accumulate, epi),
+                2 => b.sweep::<2>(ab, n, k0, klen, c, row, accumulate, epi),
+                _ => b.sweep::<1>(ab, n, k0, klen, c, row, accumulate, epi),
+            }
             r += step;
-        }
-    }
-}
-
-/// Sweep the `NR`-wide column panels of one `M`-row block.
-// allow: GEMM kernel plumbing — dims, panel slices and strides stay
-// individual scalars so they live in registers through the tile loops.
-#[allow(clippy::too_many_arguments)]
-fn panel_sweep<T: Scalar, const M: usize>(
-    a: &[T],
-    a_kk: usize,
-    a_i: usize,
-    b: BSource<'_, T>,
-    n: usize,
-    k0: usize,
-    klen: usize,
-    c: &mut [T], // M rows, ldc == n
-    row0: usize,
-    accumulate: bool,
-    epi: Option<&Epilogue<'_, T>>,
-) {
-    match b {
-        BSource::Packed(pb) => {
-            for p in 0..pb.panels() {
-                let j0 = p * NR;
-                let cols = NR.min(n - j0);
-                micro_tile::<T, M>(
-                    a,
-                    a_kk,
-                    a_i,
-                    pb.panel_slab(p, k0),
-                    NR,
-                    klen,
-                    &mut c[j0..],
-                    n,
-                    cols,
-                    accumulate,
-                    epi.map(|e| (e, row0, j0)),
-                );
-            }
-        }
-        BSource::Cols(bd) => {
-            let slab = &bd[k0 * n..];
-            let full = n / NR;
-            for p in 0..full {
-                let j0 = p * NR;
-                micro_tile::<T, M>(
-                    a,
-                    a_kk,
-                    a_i,
-                    &slab[j0..],
-                    n,
-                    klen,
-                    &mut c[j0..],
-                    n,
-                    NR,
-                    accumulate,
-                    epi.map(|e| (e, row0, j0)),
-                );
-            }
-            if full * NR < n {
-                tail_cols(
-                    |i, kk| a[kk * a_kk + i * a_i],
-                    M,
-                    slab,
-                    n,
-                    full * NR..n,
-                    klen,
-                    c,
-                    n,
-                    accumulate,
-                    epi.map(|e| (e, row0)),
-                );
-            }
         }
     }
 }
@@ -926,14 +1170,15 @@ pub fn matmul_transb_packed_into_kc<T: Scalar>(
 }
 
 // ---------------------------------------------------------------------------
-// Per-thread pack/im2col scratch
+// Per-thread pack and conv-staging scratch
 // ---------------------------------------------------------------------------
 
 /// Reusable per-thread staging buffers for kernels whose operands are not
-/// pre-packed: a [`PackedA`] for on-the-fly weight packing on the conv
-/// inner-parallel route, a [`PackedB`] for on-the-fly weight packing
-/// (training-time and uncompiled-model `Linear` forwards) and a column
-/// buffer for im2col convolution. One instance lives per thread (see
+/// pre-packed: a [`PackedA`] for on-the-fly weight packing on the batch-1
+/// conv route, a [`PackedB`] for on-the-fly weight packing (training-time
+/// and uncompiled-model `Linear` forwards) and the convolution's input
+/// staging `col` — padded input planes for a stride-1 GEMM-route conv
+/// ([`PaddedPlanes`]), im2col columns otherwise. One instance lives per thread (see
 /// [`WithScratch`]), so parallel kernels never contend on — or repack —
 /// another thread's panels. Grow-only, so steady-state use is
 /// allocation-free.

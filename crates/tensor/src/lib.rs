@@ -7,7 +7,7 @@
 //! scatter (dense → view) are the two memory-concretization primitives the
 //! bridge is built on.
 //!
-//! Compute kernels (matmul, im2col convolution, pooling) run on the
+//! Compute kernels (matmul, GEMM-route convolution, pooling) run on the
 //! [`hpacml_par`] pool, the same substrate the accurate benchmark kernels run
 //! on, so surrogate-vs-accurate timings compare like for like.
 

@@ -1,4 +1,4 @@
-//! Compute kernels: matmul family, im2col convolution, pooling.
+//! Compute kernels: matmul family, GEMM-route convolution, pooling.
 //!
 //! These are the dense-linear-algebra operations the paper's Observation 2
 //! is about: NN inference is implemented by dense kernels that use hardware
@@ -11,7 +11,7 @@
 //! fused bias/activation epilogues; the remaining training-side kernels
 //! keep their simpler axpy formulations.
 
-use crate::gemm::{self, ASource, Act, BSource, Epilogue, PackedA, WithScratch};
+use crate::gemm::{self, ASource, Act, BSource, Epilogue, PackedA, PaddedPlanes, WithScratch};
 use crate::scalar::Scalar;
 use crate::tensor::Tensor;
 use crate::{Result, TensorError};
@@ -280,9 +280,6 @@ impl Conv2dGeom {
 
 /// Fill one im2col row: `row` encodes the tap `(ch, ki, kj)` as
 /// `(ch * kh + ki) * kw + kj`, `dst` is that row's `OH*OW` destination.
-/// Shared verbatim by the sequential and parallel fills — each row's
-/// content depends only on the input and its own tap, so fill order (and
-/// which thread runs it) cannot change a single bit.
 fn im2col_fill_row<T: Scalar>(
     input: &[T],
     h: usize,
@@ -337,34 +334,6 @@ pub fn im2col<T: Scalar>(input: &[T], c: usize, h: usize, w: usize, g: Conv2dGeo
     }
 }
 
-/// [`im2col`] with the row fills dispatched across the pool — the conv
-/// inner-parallel route uses this so the column-matrix build scales along
-/// with the GEMM that consumes it. Row contents are produced by the same
-/// scalar fill as the sequential version, so results are bit-identical;
-/// small problems fall back to the sequential loop inline.
-pub fn im2col_par<T: Scalar + Send>(
-    input: &[T],
-    c: usize,
-    h: usize,
-    w: usize,
-    g: Conv2dGeom,
-    col: &mut [T],
-) {
-    let (kh, kw) = g.kernel;
-    let (oh, ow) = g.out_hw(h, w);
-    let l = oh * ow;
-    let rows = c * kh * kw;
-    assert_eq!(col.len(), rows * l, "im2col_par: bad col buffer size");
-    if rows <= 1 || rows * l < PAR_FLOPS_MIN {
-        im2col(input, c, h, w, g, col);
-        return;
-    }
-    hpacml_par::par_chunks_mut(col, l, |start, dst| {
-        // One chunk == one col row (the grain divides col.len() exactly).
-        im2col_fill_row(input, h, w, g, start / l, dst);
-    });
-}
-
 /// Reverse of [`im2col`]: accumulate col `[C*KH*KW, OH*OW]` back into the
 /// input gradient `[C, H, W]`.
 pub fn col2im<T: Scalar>(col: &[T], c: usize, h: usize, w: usize, g: Conv2dGeom, dinput: &mut [T]) {
@@ -406,14 +375,15 @@ pub fn col2im<T: Scalar>(col: &[T], c: usize, h: usize, w: usize, g: Conv2dGeom,
 ///
 /// `input [N, C, H, W]`, `weight [F, C, KH, KW]`, `bias [F]` → `[N, F, OH, OW]`.
 ///
-/// Large per-sample problems route through im2col into this thread's
-/// reusable scratch column buffer and the register-tiled packed GEMM
+/// Large per-sample problems route through the register-tiled GEMM
 /// (`out[f, l] = W[f, ckk] · col[ckk, l]` with the bias — and, for fused
-/// layers, the activation — applied in the GEMM epilogue). Small problems
-/// keep the direct kernels: a row-span `axpy` path for stride 1, im2col +
-/// `axpy` otherwise. The choice depends only on the per-sample geometry,
-/// never on the batch size or thread count, so batched and per-sample
-/// forwards stay bit-identical.
+/// layers, the activation — applied in the GEMM epilogue). At stride 1
+/// `col` is never built: the input is padded once into this thread's
+/// scratch and the GEMM reads each tap from it in place; other strides
+/// stage `col` by im2col. Small problems keep the direct kernels: a
+/// row-span `axpy` path for stride 1, im2col + `axpy` otherwise. The
+/// choice depends only on the per-sample geometry, never on the batch size
+/// or thread count, so batched and per-sample forwards stay bit-identical.
 pub fn conv2d<T: Scalar + WithScratch>(
     input: &Tensor<T>,
     weight: &Tensor<T>,
@@ -427,8 +397,8 @@ pub fn conv2d<T: Scalar + WithScratch>(
 
 /// [`conv2d`] writing into a caller-owned output tensor (resized in place).
 /// Steady-state allocation-free on every path: the direct kernels touch no
-/// scratch, and the im2col/GEMM paths reuse this thread's grow-only
-/// [`gemm::GemmScratch`] column buffer.
+/// scratch, and the GEMM and im2col paths reuse this thread's grow-only
+/// [`gemm::GemmScratch`] staging buffer.
 pub fn conv2d_into<T: Scalar + WithScratch>(
     input: &Tensor<T>,
     weight: &Tensor<T>,
@@ -440,10 +410,10 @@ pub fn conv2d_into<T: Scalar + WithScratch>(
 }
 
 /// Does a per-sample conv problem (`f` filters, `ckk = c*kh*kw` taps,
-/// `l = oh*ow` output pixels) pay for the im2col + packed-GEMM route?
-/// The column matrix costs `ckk * l` writes; the GEMM amortizes that only
-/// when the spatial extent spans whole register panels and the arithmetic
-/// clears the shared [`PAR_FLOPS_MIN`] bar. Pure shape function — see
+/// `l = oh*ow` output pixels) pay for the packed-GEMM route? Staging the
+/// input costs a pass over it; the GEMM amortizes that only when the
+/// spatial extent spans whole register panels and the arithmetic clears
+/// the shared [`PAR_FLOPS_MIN`] bar. Pure shape function — see
 /// [`conv2d`] for why that matters.
 pub fn conv_gemm_worthwhile(f: usize, ckk: usize, l: usize) -> bool {
     l >= 2 * gemm::NR && f * ckk * l >= PAR_FLOPS_MIN
@@ -495,16 +465,16 @@ pub fn conv2d_fused_into<T: Scalar + WithScratch>(
     let wd = weight.data();
     let id = input.data();
     let use_gemm = conv_gemm_worthwhile(f, ckk, l);
-    let direct = g.stride == (1, 1);
+    let bias_act = Epilogue::row_bias(bias).with_act(act);
 
     // Small batches on a wide pool starve it if samples are the only
-    // parallel axis (n < threads leaves cores idle); route those through
-    // intra-sample parallelism — parallel im2col fill plus the row-parallel
-    // GEMM — on the caller's thread instead. The per-sample math is the
-    // same on both routes (each output element keeps its one ascending-k
-    // chain; packed and row-major A are bit-identical by the packing
-    // tests), and the route choice is a pure function of batch size and
-    // pool width, so batched == sequential stays bitwise.
+    // parallel axis (n < threads leaves cores idle); run those samples one
+    // after another on the caller's thread and let each GEMM split its
+    // filter rows across the pool instead. The per-sample math is the same
+    // on both routes (each output element keeps its one ascending-k chain;
+    // packed and row-major A are bit-identical by the packing tests), and
+    // the route choice is a pure function of batch size and pool width, so
+    // batched == sequential stays bitwise.
     if use_gemm && !gemm::outer_saturates(n) {
         let od = out.data_mut();
         T::with_gemm_scratch(|s| {
@@ -515,26 +485,10 @@ pub fn conv2d_fused_into<T: Scalar + WithScratch>(
                 s.packed_a.pack_rows_into(wd, f, ckk);
             }
             let gemm::GemmScratch { packed_a, col, .. } = s;
-            if col.len() < ckk * l {
-                col.resize(ckk * l, T::ZERO);
-            }
-            let col = &mut col[..ckk * l];
-            let a = match packed_w {
-                Some(p) => ASource::Packed(p),
-                None => ASource::Packed(packed_a),
-            };
+            let a = ASource::Packed(packed_w.unwrap_or(packed_a));
             for (sample, out_n) in od.chunks_exact_mut(out_sample).enumerate() {
                 let inp = &id[sample * in_sample..(sample + 1) * in_sample];
-                im2col_par(inp, c, h, w, g, col);
-                gemm::gemm_into(
-                    f,
-                    l,
-                    ckk,
-                    a,
-                    BSource::Cols(col),
-                    Epilogue::row_bias(bias).with_act(act),
-                    out_n,
-                );
+                conv_sample_gemm(inp, [c, h, w], g, a, f, bias_act, col, out_n);
             }
         });
         return Ok(());
@@ -544,38 +498,22 @@ pub fn conv2d_fused_into<T: Scalar + WithScratch>(
         let sample = start / out_sample;
         let inp = &id[sample * in_sample..(sample + 1) * in_sample];
         if use_gemm {
+            let a = match packed_w {
+                Some(p) => ASource::Packed(p),
+                None => ASource::Rows(wd),
+            };
+            // The GEMM's own dispatch runs inline here — on pool workers
+            // and on the participating caller alike (both are flagged
+            // in-worker while draining) — so the outer per-sample
+            // parallelism is preserved.
             T::with_gemm_scratch(|s| {
-                if s.col.len() < ckk * l {
-                    s.col.resize(ckk * l, T::ZERO);
-                }
-                let col = &mut s.col[..ckk * l];
-                im2col(inp, c, h, w, g, col);
-                let a = match packed_w {
-                    Some(p) => ASource::Packed(p),
-                    None => ASource::Rows(wd),
-                };
-                // Nested dispatch runs inline here — on pool workers and
-                // on the participating caller alike (both are flagged
-                // in-worker while draining) — so the outer per-sample
-                // parallelism is preserved.
-                gemm::gemm_into(
-                    f,
-                    l,
-                    ckk,
-                    a,
-                    BSource::Cols(col),
-                    Epilogue::row_bias(bias).with_act(act),
-                    out_n,
-                );
+                conv_sample_gemm(inp, [c, h, w], g, a, f, bias_act, &mut s.col, out_n);
             });
-        } else if direct {
+        } else if g.stride == (1, 1) {
             conv2d_sample_direct_s1(inp, c, h, w, wd, bias, g, oh, ow, act, out_n);
         } else {
             T::with_gemm_scratch(|s| {
-                if s.col.len() < ckk * l {
-                    s.col.resize(ckk * l, T::ZERO);
-                }
-                let col = &mut s.col[..ckk * l];
+                let col = grown(&mut s.col, ckk * l);
                 im2col(inp, c, h, w, g, col);
                 // out_n[f, l] = W[f, ckk] · col[ckk, l]
                 for (fi, orow) in out_n.chunks_exact_mut(l).enumerate() {
@@ -596,6 +534,83 @@ pub fn conv2d_fused_into<T: Scalar + WithScratch>(
         }
     });
     Ok(())
+}
+
+/// The first `len` elements of a grow-only scratch buffer.
+fn grown<T: Scalar>(buf: &mut Vec<T>, len: usize) -> &mut [T] {
+    if buf.len() < len {
+        buf.resize(len, T::ZERO);
+    }
+    &mut buf[..len]
+}
+
+/// Elements of per-thread staging one sample of a GEMM-route convolution
+/// uses: the zero-padded input planes plus [`gemm::NR`] slack at stride 1,
+/// the `[c*kh*kw, oh*ow]` im2col matrix otherwise. The workspace-reserve
+/// hint (`Conv2d::scratch_hint`) sizes the scratch from this.
+pub fn conv_gemm_staging(c: usize, h: usize, w: usize, g: Conv2dGeom) -> usize {
+    let (kh, kw) = g.kernel;
+    if g.stride == (1, 1) {
+        c * (h + 2 * g.pad.0) * (w + 2 * g.pad.1) + gemm::NR
+    } else {
+        let (oh, ow) = g.out_hw(h, w);
+        c * kh * kw * oh * ow
+    }
+}
+
+/// One sample of a GEMM-route convolution: `out_n[f, oh*ow] = epi(A ·
+/// B)`, `A` the `[f, c*kh*kw]` weights and `B` the sample's column matrix.
+/// At stride 1 that matrix is never built: the input planes are padded
+/// once into `staging` and the GEMM reads each tap row straight out of
+/// them ([`BSource::Conv`]). Other strides stage the im2col matrix there.
+// allow: conv kernel plumbing — geometry, operands and staging stay
+// separate so both conv routes call this one body.
+#[allow(clippy::too_many_arguments)]
+fn conv_sample_gemm<T: Scalar>(
+    inp: &[T],
+    [c, h, w]: [usize; 3],
+    g: Conv2dGeom,
+    a: ASource<'_, T>,
+    f: usize,
+    epi: Epilogue<'_, T>,
+    staging: &mut Vec<T>,
+    out_n: &mut [T],
+) {
+    let (kh, kw) = g.kernel;
+    let (oh, ow) = g.out_hw(h, w);
+    let (l, ckk) = (oh * ow, c * kh * kw);
+    let buf = grown(staging, conv_gemm_staging(c, h, w, g));
+    let b = if g.stride == (1, 1) {
+        let (hp, wp) = (h + 2 * g.pad.0, w + 2 * g.pad.1);
+        pad_planes(inp, c, h, w, g.pad, buf);
+        BSource::Conv(PaddedPlanes::new(buf, c, hp, wp, g.kernel))
+    } else {
+        im2col(inp, c, h, w, g, buf);
+        BSource::Cols(&*buf)
+    };
+    gemm::gemm_into(f, l, ckk, a, b, epi, out_n);
+}
+
+/// Copy `[c, h, w]` planes into `dst` with a zero ring of `pad` around
+/// each, laid out as [`PaddedPlanes`] reads them (plane `ch`, row `y`
+/// starts at `(ch * (h + 2*ph) + ph + y) * (w + 2*pw) + pw`). Everything
+/// else in `dst`, the slack past the planes included, is zeroed.
+pub fn pad_planes<T: Scalar>(
+    inp: &[T],
+    c: usize,
+    h: usize,
+    w: usize,
+    (ph, pw): (usize, usize),
+    dst: &mut [T],
+) {
+    let (hp, wp) = (h + 2 * ph, w + 2 * pw);
+    dst.fill(T::ZERO);
+    for ch in 0..c {
+        for y in 0..h {
+            let at = (ch * hp + ph + y) * wp + pw;
+            dst[at..at + w].copy_from_slice(&inp[(ch * h + y) * w..][..w]);
+        }
+    }
 }
 
 /// Direct stride-1 convolution for one sample: for every (filter, channel,

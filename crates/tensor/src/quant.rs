@@ -21,9 +21,10 @@
 //! `mul_add`). Dequantization is a pure per-element function of the
 //! packed panel — independent of thread count, `KC` blocking, stripe
 //! boundaries and batch size — so quantized results are a pure function
-//! of the quantized panel, not the schedule. The epilogue is shared with
-//! the f32 kernel (`gemm::finish_tile`) so bias/activation math
-//! is the same float expression at every precision.
+//! of the quantized panel, not the schedule. Past the decode, every
+//! precision runs the one f32 micro-kernel (`gemm::micro_tile`) and
+//! macro-kernel, epilogue included, so bias/activation math is the same
+//! float expression at every precision.
 //!
 //! # Encodings
 //!
@@ -37,11 +38,11 @@
 //!   mode dependence). Decode is `q as f32 * scale`. Zero maps to zero
 //!   exactly, so panel padding decodes to `0.0` at both precisions.
 
-use crate::gemm::{finish_tile, par_rows_per_block, par_worthwhile, Bias, Epilogue, KC, NR};
+use crate::gemm::{
+    lanes, micro_tile, run_stripes, ABlock, ASource, BRows, Epilogue, Panels, KC, NR,
+};
 use crate::tensor::Tensor;
 use crate::{Result, TensorError};
-
-use crate::gemm::MR;
 
 // ---------------------------------------------------------------------------
 // Precision tags
@@ -317,31 +318,6 @@ impl QPackedB {
         }
         worst
     }
-
-    /// One row stripe of the quantized GEMM, dispatched to the dtype's
-    /// monomorphized body.
-    // allow: GEMM kernel plumbing — see micro_tile_q.
-    #[allow(clippy::too_many_arguments)]
-    #[inline]
-    fn stripe(
-        &self,
-        row0: usize,
-        stripe: &mut [f32],
-        n: usize,
-        k: usize,
-        a: &[f32],
-        epi: &Epilogue<'_, f32>,
-        kc: usize,
-    ) {
-        match &self.data {
-            QData::Bf16(d) => {
-                stripe_body_q::<DeqBf16>(row0, stripe, n, k, a, d, &self.scales, epi, kc)
-            }
-            QData::Int8(d) => {
-                stripe_body_q::<DeqInt8>(row0, stripe, n, k, a, d, &self.scales, epi, kc)
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -375,73 +351,44 @@ impl Dequant for DeqInt8 {
     }
 }
 
-/// The quantized register-tiled micro-kernel: identical structure to
-/// `gemm::micro_tile` (strides, accumulate/finish protocol, ascending-`k`
-/// chains) with one extra step — each packed `NR`-row is decoded into a
-/// stack-resident f32 row before entering the multiply-add chain. The
-/// decode is a pure element map, so the accumulation order and float
+/// A quantized panel's `B` rows as the shared micro-kernel reads them:
+/// each stored `NR`-row is decoded into f32 lanes as it loads, and from
+/// there on the arithmetic is the f32 kernel's (`gemm::micro_tile`).
+/// The decode is a pure element map, so the accumulation order and float
 /// expression match the f32 kernel run on pre-dequantized weights bit for
 /// bit.
-// allow: GEMM kernel plumbing — dims, panel slices and strides stay
-// individual scalars so they live in registers through the tile loops.
-#[allow(clippy::too_many_arguments)]
-#[inline(never)] // same rationale as gemm::micro_tile: keep the hot loop a
-                 // small standalone optimization unit so LLVM vectorizes it.
-fn micro_tile_q<D: Dequant, const M: usize>(
-    a: &[f32],
-    a_kk: usize,
-    a_i: usize,
-    b: &[D::Q], // panel slab: b[kk * NR + j]
-    scales: &[f32],
-    klen: usize,
-    c: &mut [f32],
-    ldc: usize,
-    cols: usize,
-    accumulate: bool,
-    finish: Option<(&Epilogue<'_, f32>, usize, usize)>,
-) {
-    let scales = &scales[..NR];
-    let mut acc = [[0.0f32; NR]; M];
-    if accumulate {
-        for (i, arow) in acc.iter_mut().enumerate() {
-            for (j, v) in arow.iter_mut().enumerate().take(cols) {
-                *v = c[i * ldc + j];
-            }
-        }
+struct QRows<'a, D: Dequant> {
+    b: &'a [D::Q], // panel slab: b[kk * NR + j]
+    scales: &'a [f32; NR],
+}
+
+impl<D: Dequant> Clone for QRows<'_, D> {
+    fn clone(&self) -> Self {
+        *self
     }
-    for kk in 0..klen {
-        let braw = &b[kk * NR..kk * NR + NR];
-        let mut brow = [0.0f32; NR];
-        for (j, v) in brow.iter_mut().enumerate() {
-            *v = D::decode(braw[j], scales[j]);
+}
+
+impl<D: Dequant> Copy for QRows<'_, D> {}
+
+impl<D: Dequant> BRows<f32> for QRows<'_, D> {
+    #[inline(always)]
+    fn row(&self, kk: usize) -> [f32; NR] {
+        let raw: [D::Q; NR] = lanes(&self.b[kk * NR..]);
+        let mut row = [0.0f32; NR];
+        for ((v, q), s) in row.iter_mut().zip(raw).zip(self.scales) {
+            *v = D::decode(q, *s);
         }
-        let abase = kk * a_kk;
-        for (i, arow) in acc.iter_mut().enumerate() {
-            let av = a[abase + i * a_i];
-            for (j, v) in arow.iter_mut().enumerate() {
-                // One chain per element, mul+add (not mul_add) — the same
-                // contract as the f32 micro-kernel.
-                *v += av * brow[j];
-            }
-        }
-    }
-    if let Some((epi, row0, col0)) = finish {
-        finish_tile::<f32, M>(&mut acc, epi, row0, col0, cols);
-    }
-    for (i, arow) in acc.iter().enumerate() {
-        c[i * ldc..i * ldc + cols].copy_from_slice(&arow[..cols]);
+        row
     }
 }
 
 /// Sweep the `NR`-wide quantized panels of one `M`-row block.
-// allow: GEMM kernel plumbing — see micro_tile_q.
+// allow: GEMM kernel plumbing — see gemm::micro_tile.
 #[allow(clippy::too_many_arguments)]
-fn panel_sweep_q<D: Dequant, const M: usize>(
-    a: &[f32],
-    a_kk: usize,
-    a_i: usize,
+fn sweep_q<D: Dequant, const M: usize>(
     data: &[D::Q],
     scales: &[f32],
+    a: ABlock<'_, f32>,
     n: usize,
     k: usize,
     k0: usize,
@@ -453,125 +400,43 @@ fn panel_sweep_q<D: Dequant, const M: usize>(
 ) {
     for p in 0..n.div_ceil(NR) {
         let j0 = p * NR;
-        let cols = NR.min(n - j0);
-        let slab = &data[p * k * NR + k0 * NR..(p + 1) * k * NR];
-        micro_tile_q::<D, M>(
+        let rows = QRows::<D> {
+            b: &data[p * k * NR + k0 * NR..(p + 1) * k * NR],
+            scales: scales[j0..j0 + NR].try_into().expect("NR scales"),
+        };
+        micro_tile::<f32, _, M>(
             a,
-            a_kk,
-            a_i,
-            slab,
-            &scales[j0..j0 + NR],
+            rows,
             klen,
             &mut c[j0..],
             n,
-            cols,
+            NR.min(n - j0),
             accumulate,
             epi.map(|e| (e, row0, j0)),
         );
     }
 }
 
-/// Compute one C row-stripe against quantized panels — the structural twin
-/// of `gemm::stripe_body` for a row-major `A` (`Linear` activations are
-/// never packed): `kc`-deep `k` slabs, MR tiles, then 4/2/1 step-down.
-// allow: GEMM kernel plumbing — see micro_tile_q.
-#[allow(clippy::too_many_arguments)]
-fn stripe_body_q<D: Dequant>(
-    row0: usize,
-    stripe: &mut [f32],
-    n: usize,
-    k: usize,
-    a: &[f32],
-    data: &[D::Q],
-    scales: &[f32],
-    epi: &Epilogue<'_, f32>,
-    kc: usize,
-) {
-    let rows = stripe.len() / n;
-    let slabs = k.div_ceil(kc).max(1); // k == 0 still runs one epilogue pass
-    for slab in 0..slabs {
-        let k0 = slab * kc;
-        let klen = kc.min(k - k0);
-        let accumulate = slab > 0;
-        let last = slab + 1 == slabs;
-
-        let mut r = 0;
-        while rows - r >= MR {
-            let row = row0 + r;
-            panel_sweep_q::<D, MR>(
-                &a[row * k + k0..],
-                1,
-                k,
-                data,
-                scales,
-                n,
-                k,
-                k0,
-                klen,
-                &mut stripe[r * n..(r + MR) * n],
-                row,
-                accumulate,
-                last.then_some(epi),
-            );
-            r += MR;
-        }
-        while r < rows {
-            let row = row0 + r;
-            let left = rows - r;
-            let ab = &a[row * k + k0..];
-            let step = if left >= 4 {
-                panel_sweep_q::<D, 4>(
-                    ab,
-                    1,
-                    k,
-                    data,
-                    scales,
-                    n,
-                    k,
-                    k0,
-                    klen,
-                    &mut stripe[r * n..(r + 4) * n],
-                    row,
-                    accumulate,
-                    last.then_some(epi),
-                );
-                4
-            } else if left >= 2 {
-                panel_sweep_q::<D, 2>(
-                    ab,
-                    1,
-                    k,
-                    data,
-                    scales,
-                    n,
-                    k,
-                    k0,
-                    klen,
-                    &mut stripe[r * n..(r + 2) * n],
-                    row,
-                    accumulate,
-                    last.then_some(epi),
-                );
-                2
-            } else {
-                panel_sweep_q::<D, 1>(
-                    ab,
-                    1,
-                    0,
-                    data,
-                    scales,
-                    n,
-                    k,
-                    k0,
-                    klen,
-                    &mut stripe[r * n..(r + 1) * n],
-                    row,
-                    accumulate,
-                    last.then_some(epi),
-                );
-                1
-            };
-            r += step;
+impl Panels<f32> for &QPackedB {
+    fn sweep<const M: usize>(
+        &self,
+        a: ABlock<'_, f32>,
+        n: usize,
+        k0: usize,
+        klen: usize,
+        c: &mut [f32],
+        row0: usize,
+        accumulate: bool,
+        epi: Option<&Epilogue<'_, f32>>,
+    ) {
+        let (k, scales) = (self.k, &self.scales[..]);
+        match &self.data {
+            QData::Bf16(d) => {
+                sweep_q::<DeqBf16, M>(d, scales, a, n, k, k0, klen, c, row0, accumulate, epi)
+            }
+            QData::Int8(d) => {
+                sweep_q::<DeqInt8, M>(d, scales, a, n, k, k0, klen, c, row0, accumulate, epi)
+            }
         }
     }
 }
@@ -618,52 +483,14 @@ pub fn matmul_transb_qpacked_into_kc(
     }
     let n = qb.n();
     c.resize(&[m, n]);
-    gemm_q_into_kc(m, n, k, a.data(), qb, epi, c.data_mut(), kc);
+    run_stripes(m, n, k, ASource::Rows(a.data()), qb, &epi, c.data_mut(), kc);
     Ok(())
-}
-
-/// The quantized macro-kernel driver: same shape validation, parallel
-/// split and stripe alignment as `gemm::gemm_into_kc` — row stripes are
-/// the parallel axis, aligned to `MR` so every stripe starts on a
-/// register-tile boundary.
-// allow: GEMM kernel plumbing — see micro_tile_q.
-#[allow(clippy::too_many_arguments)]
-fn gemm_q_into_kc(
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f32],
-    qb: &QPackedB,
-    epi: Epilogue<'_, f32>,
-    c: &mut [f32],
-    kc: usize,
-) {
-    assert_eq!(c.len(), m * n, "qgemm: bad C length");
-    assert_eq!(a.len(), m * k, "qgemm: bad A length");
-    if let Bias::Col(bias) = epi.bias {
-        assert_eq!(bias.len(), n, "qgemm: col bias length");
-    }
-    if let Bias::Row(bias) = epi.bias {
-        assert_eq!(bias.len(), m, "qgemm: row bias length");
-    }
-    if m == 0 || n == 0 {
-        return;
-    }
-    let kc = kc.max(1);
-    if par_worthwhile(m, n, k) {
-        let rows = par_rows_per_block(m, n, k).div_ceil(MR) * MR;
-        hpacml_par::par_chunks_mut(c, rows * n, |start, stripe| {
-            qb.stripe(start / n, stripe, n, k, a, &epi, kc);
-        });
-    } else {
-        qb.stripe(0, c, n, k, a, &epi, kc);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gemm::Act;
+    use crate::gemm::{Act, Bias};
 
     fn lcg(seed: u64, len: usize) -> Vec<f32> {
         let mut s = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
