@@ -263,12 +263,33 @@ static ACTIVE: Mutex<Option<ActivePlan>> = Mutex::new(None);
 
 /// FNV-1a 64-bit hash — the deterministic site hash for chaos coins.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut h = Fnv1a64::default();
+    h.write(bytes);
+    h.finish()
+}
+
+/// Streaming [`fnv1a64`]: the hash of several byte runs written in order
+/// equals `fnv1a64` of their concatenation.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a64(u64);
+
+impl Default for Fnv1a64 {
+    fn default() -> Self {
+        Fnv1a64(0xcbf2_9ce4_8422_2325)
     }
-    h
+}
+
+impl Fnv1a64 {
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    pub fn finish(self) -> u64 {
+        self.0
+    }
 }
 
 /// SplitMix64 finalizer — mixes `(seed, site, hit)` into a chaos coin.
@@ -531,5 +552,20 @@ mod tests {
         };
         let io: std::io::Error = f.into();
         assert!(io.to_string().contains("injected fault"));
+    }
+
+    #[test]
+    fn fnv_streams_split_runs() {
+        // Published FNV-1a 64 vectors.
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        let whole = fnv1a64(b"hello, world");
+        for cut in 0..=12 {
+            let (a, b) = b"hello, world".split_at(cut);
+            let mut h = Fnv1a64::default();
+            h.write(a);
+            h.write(b);
+            assert_eq!(h.finish(), whole, "cut at {cut}");
+        }
     }
 }

@@ -3,23 +3,40 @@
 //! both conv parallel routes — keeps the zero-allocation steady state.
 //!
 //! Unlike `alloc_free_compiled.rs` (thread-local counter, calling thread
-//! only), the counter here is **process-global**: an allocation on any
-//! pool worker while tracking is on fails the test. That is the point —
-//! the dispatcher publishes jobs into preallocated slots and every
-//! participant's scratch is warmed by the broadcast reserve, so after
-//! warm-up no thread anywhere allocates.
+//! only), the counter here sees **every pool participant**: an allocation
+//! on any worker or on the caller while tracking is on fails the test. That
+//! is the point — the dispatcher publishes jobs into preallocated slots and
+//! every participant's scratch is warmed by the broadcast reserve, so after
+//! warm-up no participant allocates. Threads outside the pool (the test
+//! runner spawning and reporting other tests) are not counted: each
+//! participant is marked by a broadcast before tracking starts.
 
 use hpacml_nn::spec::{Activation, LayerSpec, ModelSpec};
 use hpacml_nn::ForwardWorkspace;
 use hpacml_par::{with_pool, Pool};
 use hpacml_tensor::Tensor;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::thread::ThreadId;
 
 struct CountingAlloc;
 
 static TRACKING: AtomicBool = AtomicBool::new(false);
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// Set on every participant of the pool under test. Const-initialised
+    /// and drop-free, so reading it never allocates.
+    static PARTICIPANT: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Count an allocation if tracking is on and this thread is a participant.
+fn count() {
+    if TRACKING.load(Ordering::Relaxed) && PARTICIPANT.try_with(Cell::get).unwrap_or(false) {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+    }
+}
 
 // SAFETY: a pass-through `GlobalAlloc`: every method delegates to `System`
 // under the caller's own contract; the side counters are lock-free statics
@@ -27,9 +44,7 @@ static ALLOCS: AtomicU64 = AtomicU64::new(0);
 unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: same layout contract as `System.alloc`, to which this delegates.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if TRACKING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count();
         // SAFETY: `layout` is forwarded unchanged from our caller.
         unsafe { System.alloc(layout) }
     }
@@ -42,9 +57,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     // SAFETY: same contract as `System.realloc`, to which this delegates.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if TRACKING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count();
         // SAFETY: `ptr`/`layout`/`new_size` are forwarded unchanged.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -53,12 +66,32 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Held for each whole test. The counter sees every thread, so a test
+/// Held for each whole test. The counter is process-global, so a test
 /// building its model while another one is tracking would be counted
 /// against the other.
 static SERIAL: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
 
-/// Count allocations performed **anywhere in the process** during `f`.
+/// Mark every participant of `pool` (its workers and the calling thread),
+/// and check that the broadcast reached each one on a thread of its own.
+fn mark_participants(pool: &Pool) {
+    let threads: parking_lot::Mutex<Vec<ThreadId>> = parking_lot::Mutex::new(Vec::new());
+    pool.broadcast(|_| {
+        PARTICIPANT.with(|p| p.set(true));
+        threads.lock().push(std::thread::current().id());
+    });
+    let threads = threads.into_inner();
+    assert_eq!(
+        threads.len(),
+        pool.workers() + 1,
+        "the broadcast must reach every worker and the caller"
+    );
+    for (i, t) in threads.iter().enumerate() {
+        assert!(!threads[..i].contains(t), "two participants on one thread");
+    }
+}
+
+/// Count allocations performed **on any pool participant** during `f`.
+/// Call [`mark_participants`] first.
 fn global_allocations_during(f: impl FnOnce()) -> u64 {
     let before = ALLOCS.load(Ordering::Relaxed);
     TRACKING.store(true, Ordering::SeqCst);
@@ -77,6 +110,7 @@ fn parallel_mlp_forward_is_globally_allocation_free() {
     hpacml_nn::compile_for_inference(&mut model);
     let x = Tensor::from_shape_fn([1024, 6], |ix| (ix[0] * 7 + ix[1]) as f32 * 0.001 - 0.5);
     let pool = Pool::new(7);
+    mark_participants(&pool);
     with_pool(&pool, || {
         let mut ws = ForwardWorkspace::new();
         // Warm-up: arenas + broadcast scratch reserve + one full forward
@@ -133,6 +167,7 @@ fn conv_sample_parallel_route_is_globally_allocation_free() {
         ((ix[0] + 1) * (ix[2] * 48 + ix[3])) as f32 * 0.002 - 0.4
     });
     let pool = Pool::new(7);
+    mark_participants(&pool);
     with_pool(&pool, || {
         let mut ws = ForwardWorkspace::new();
         ws.reserve(&model, x.dims()).unwrap();
@@ -171,6 +206,7 @@ fn zero_copy_conv_route_is_globally_allocation_free() {
     let mut model = spec.build(9).unwrap();
     hpacml_nn::compile_for_inference(&mut model);
     let pool = Pool::new(7);
+    mark_participants(&pool);
     for batch in [1usize, 8] {
         let x = Tensor::from_shape_fn([batch, 4, 24, 48], |ix| {
             ((ix[0] + 2) * (ix[2] * 48 + ix[3])) as f32 * 0.001 - 0.3
@@ -210,6 +246,7 @@ fn conv_intra_sample_route_is_globally_allocation_free() {
         ((ix[1] + 1) * (ix[2] * 48 + ix[3])) as f32 * 0.003 - 0.2
     });
     let pool = Pool::new(7);
+    mark_participants(&pool);
     with_pool(&pool, || {
         let mut ws = ForwardWorkspace::new();
         ws.reserve(&model, x.dims()).unwrap();

@@ -28,15 +28,22 @@ pub fn put_str(buf: &mut Vec<u8>, s: &str) {
 /// Bounds-checked little-endian cursor over a borrowed byte slice.
 pub struct Reader<'a> {
     buf: &'a [u8],
+    pos: usize,
 }
 
 impl<'a> Reader<'a> {
     pub fn new(buf: &'a [u8]) -> Self {
-        Reader { buf }
+        Reader { buf, pos: 0 }
+    }
+
+    /// Bytes consumed so far, counted from the start of the reader's slice.
+    pub fn pos(&self) -> usize {
+        self.pos
     }
 
     /// Consume and return everything not yet read.
     pub fn rest(&mut self) -> &'a [u8] {
+        self.pos += self.buf.len();
         std::mem::take(&mut self.buf)
     }
 
@@ -56,6 +63,7 @@ impl<'a> Reader<'a> {
     pub fn bytes(&mut self, len: usize) -> Result<&'a [u8]> {
         let (run, rest) = self.buf.split_at(self.fits(len, 1)?);
         self.buf = rest;
+        self.pos += len;
         Ok(run)
     }
 
@@ -174,10 +182,14 @@ mod tests {
         assert_eq!(rd.bytes(2).unwrap(), &[0, 1]);
         assert!(rd.u64().is_err());
         assert!(rd.bytes(5).is_err());
+        assert_eq!(rd.pos(), 2);
         let mut sub = Reader::new(rd.bytes(3).unwrap());
         assert_eq!(sub.u8().unwrap(), 2);
+        assert_eq!(sub.pos(), 1);
         assert_eq!(sub.rest(), &[3, 4]);
+        assert_eq!(sub.pos(), 3);
         assert_eq!(rd.rest(), &[5]);
+        assert_eq!(rd.pos(), 6);
     }
 
     #[test]

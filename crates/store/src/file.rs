@@ -1,11 +1,13 @@
-//! Single-file binary codec for an h5lite tree, crash-safe since format v2.
+//! Single-file binary codec for an h5lite tree: format v3, crash-safe and
+//! checksummed so that every byte after the root header is hashed exactly
+//! once.
 //!
 //! Layout (all integers little-endian):
 //!
 //! ```text
-//! magic   : 8 bytes  = b"H5LITE02"
+//! magic   : 8 bytes  = b"H5LITE03"
 //! root    : block<group>
-//! block<T>: len:u64, cksum:u64 (FNV-1a 64 of the len payload bytes), T
+//! block<T>: len:u64, cksum:u64, T (len bytes)
 //! group   : n_attrs:u32, { name:str, tag:u8, value }*,
 //!           n_children:u32, { name:str, kind:u8, block<payload> }*
 //! kind    : 0 = group, 1 = dataset
@@ -14,31 +16,47 @@
 //! str     : len:u32, utf-8 bytes
 //! ```
 //!
-//! Every group/dataset block is length-prefixed and checksummed, so
-//! [`H5File::open`] can tell *exactly* which subtree a byte flip or a torn
-//! write damaged: a corrupt dataset is dropped, a corrupt group is salvaged
-//! child-by-child, and a truncated tail recovers to the last consistent
-//! prefix. Anything dropped is reported — loudly — via [`RecoveryReport`]
-//! instead of failing the open or silently mis-parsing.
+//! Every checksum is FNV-1a 64. What a block's checksum covers:
 //!
-//! Writes are crash-safe: serialize to `<path>.h5lite.tmp`, `fsync`, then
+//! | block   | v3 (written)                                | v2 (read only)         |
+//! |---------|---------------------------------------------|------------------------|
+//! | dataset | the dataset body                            | the dataset body       |
+//! | group   | its own bytes: `n_attrs`, attrs, `n_children` and each child's `name, kind, len, cksum` — not the child bodies | the whole group body, child blocks included |
+//!
+//! In v3 a payload byte sits under its dataset's checksum alone, so a flush
+//! and an open each hash it once; v2's nested checksums hashed it once per
+//! enclosing group. [`H5File::open`] still verifies every block's own
+//! checksum, so it can tell *exactly* which subtree a byte flip or a torn
+//! write damaged: a corrupt dataset is dropped, a group whose own bytes
+//! fail is salvaged child-by-child, and a truncated tail recovers to the
+//! last consistent prefix. Anything dropped is reported — loudly — via
+//! [`RecoveryReport`] instead of failing the open or silently mis-parsing.
+//!
+//! Writes are crash-safe: serialize to `<path>.tmp` (the full file name
+//! plus `.tmp`, so `run.h5` and `run.dat` never share one), `fsync`, then
 //! atomically rename over the destination (plus a best-effort directory
 //! sync), so a crash mid-flush leaves either the old file or the new file,
 //! never a torn hybrid.
 //!
-//! Legacy v1 files (`b"H5LITE01"`, no checksums) still open with the strict
-//! v1 decoder; the first flush rewrites them as v2.
+//! Legacy files still open: v2 (`b"H5LITE02"`) through the same lenient
+//! decoder as v3, v1 (`b"H5LITE01"`, no checksums) through the strict v1
+//! decoder. The first flush rewrites either as v3.
 
 use crate::codec::{put_str, Reader};
 use crate::dataset::{DType, Dataset};
 use crate::group::{Attr, Group, Node};
 use crate::{Result, StoreError};
-use hpacml_faults::{fault_point, fnv1a64};
-use std::io::{Read, Write};
+use hpacml_faults::{fault_point, fnv1a64, Fnv1a64};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 const MAGIC_V1: &[u8; 8] = b"H5LITE01";
 const MAGIC_V2: &[u8; 8] = b"H5LITE02";
+const MAGIC_V3: &[u8; 8] = b"H5LITE03";
+
+/// Bytes a flush reserves beyond the dataset payloads for the magic, the
+/// block headers, names and attrs. Framing past it costs one regrowth.
+const FRAMING_RESERVE: usize = 4096;
 
 /// Deepest group nesting the decoders follow, counted in groups below the
 /// root (the same bound as a dataset's rank). The decoders recurse once
@@ -102,30 +120,33 @@ impl H5File {
 
     /// Open and parse an existing file.
     ///
-    /// A damaged v2 file does not fail the open: corrupted or truncated
+    /// A damaged v2 or v3 file does not fail the open: corrupted or truncated
     /// blocks are dropped and the surviving prefix is returned, with the
     /// damage described by [`H5File::recovery`] (and echoed to stderr so
     /// the rescue is never silent).
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
         fault_point!("store.open");
-        let mut f = std::fs::File::open(path.as_ref())?;
-        let mut raw = Vec::new();
-        f.read_to_end(&mut raw)?;
+        let raw = std::fs::read(path.as_ref())?;
         let mut buf = Reader::new(&raw);
         let magic = buf.bytes(8).map_err(|_| StoreError::BadMagic)?;
-        let (root, recovery) = if magic == MAGIC_V2 {
+        let (root, recovery) = if magic == MAGIC_V1 {
+            (decode_group_v1(&mut buf, 0)?, None)
+        } else {
+            let cover = if magic == MAGIC_V3 {
+                GroupCover::Framing
+            } else if magic == MAGIC_V2 {
+                GroupCover::Body
+            } else {
+                return Err(StoreError::BadMagic);
+            };
             let mut report = RecoveryReport::default();
-            let root = decode_root_v2(&mut buf, &mut report);
+            let root = decode_root(&mut buf, cover, &mut report);
             if report.is_clean() {
                 (root, None)
             } else {
                 eprintln!("hpacml-store: {}: {report}", path.as_ref().display());
                 (root, Some(report))
             }
-        } else if magic == MAGIC_V1 {
-            (decode_group_v1(&mut buf, 0)?, None)
-        } else {
-            return Err(StoreError::BadMagic);
         };
         // A non-clean recovery means the in-memory tree is a *repaired*
         // prefix of what is on disk. Mark the file dirty so the repair is
@@ -168,11 +189,12 @@ impl H5File {
     /// `fsync`, atomic rename (plus a best-effort directory sync).
     pub fn flush(&mut self) -> Result<()> {
         fault_point!("store.flush");
-        let mut buf = MAGIC_V2.to_vec();
-        let mut body = Vec::new();
-        encode_group(&mut body, &self.root);
-        put_block(&mut buf, &body);
-        let tmp = self.path.with_extension("h5lite.tmp");
+        let mut buf = Vec::with_capacity(8 + self.size_bytes() + FRAMING_RESERVE);
+        buf.extend_from_slice(MAGIC_V3);
+        encode_block(&mut buf, |buf| encode_group(buf, &self.root));
+        let mut tmp = self.path.clone().into_os_string();
+        tmp.push(".tmp");
+        let tmp = PathBuf::from(tmp);
         {
             let mut f = std::fs::File::create(&tmp)?;
             fault_point!("store.flush.write");
@@ -237,7 +259,9 @@ fn decode_attr(buf: &mut Reader) -> Result<(String, Attr)> {
     Ok((name, attr))
 }
 
-fn encode_dataset(buf: &mut Vec<u8>, d: &Dataset) {
+/// Encode `d`'s body at the end of `buf` and return its checksum.
+fn encode_dataset(buf: &mut Vec<u8>, d: &Dataset) -> u64 {
+    let start = buf.len();
     buf.push(d.dtype().tag());
     buf.extend_from_slice(&(d.inner_shape().len() as u32).to_le_bytes());
     for dim in d.inner_shape() {
@@ -246,6 +270,7 @@ fn encode_dataset(buf: &mut Vec<u8>, d: &Dataset) {
     buf.extend_from_slice(&(d.rows() as u64).to_le_bytes());
     buf.extend_from_slice(&(d.raw().len() as u64).to_le_bytes());
     buf.extend_from_slice(d.raw());
+    fnv1a64(&buf[start..])
 }
 
 fn decode_dataset(buf: &mut Reader) -> Result<Dataset> {
@@ -265,14 +290,26 @@ fn decode_dataset(buf: &mut Reader) -> Result<Dataset> {
     Dataset::from_parts(dtype, inner, rows, data)
 }
 
-/// Append `body` as a length-prefixed, checksummed block.
-fn put_block(buf: &mut Vec<u8>, body: &[u8]) {
-    buf.extend_from_slice(&(body.len() as u64).to_le_bytes());
-    buf.extend_from_slice(&fnv1a64(body).to_le_bytes());
-    buf.extend_from_slice(body);
+/// Append a block in place: reserve its `len, cksum` header, let `body`
+/// encode the payload after it and return the payload's checksum, then
+/// back-patch the header. Returns the header's offset in `buf`.
+fn encode_block(buf: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>) -> u64) -> usize {
+    let at = buf.len();
+    buf.extend_from_slice(&[0; 16]);
+    let cksum = body(buf);
+    let len = (buf.len() - at - 16) as u64;
+    buf[at..at + 8].copy_from_slice(&len.to_le_bytes());
+    buf[at + 8..at + 16].copy_from_slice(&cksum.to_le_bytes());
+    at
 }
 
-fn encode_group(buf: &mut Vec<u8>, g: &Group) {
+/// Encode `g`'s body at the end of `buf` and return its v3 checksum: the
+/// group's own bytes stream through one FNV state, run by run, and each
+/// child body between two runs is left to the child's own checksum.
+fn encode_group(buf: &mut Vec<u8>, g: &Group) -> u64 {
+    let mut hash = Fnv1a64::default();
+    // Start of the group bytes not yet hashed.
+    let mut run = buf.len();
     buf.extend_from_slice(&(g.attrs_map().len() as u32).to_le_bytes());
     for (name, attr) in g.attrs_map() {
         encode_attr(buf, name, attr);
@@ -280,19 +317,21 @@ fn encode_group(buf: &mut Vec<u8>, g: &Group) {
     buf.extend_from_slice(&(g.children().len() as u32).to_le_bytes());
     for (name, node) in g.children() {
         put_str(buf, name);
-        let mut body = Vec::new();
-        match node {
+        let header = match node {
             Node::Group(child) => {
                 buf.push(0);
-                encode_group(&mut body, child);
+                encode_block(buf, |buf| encode_group(buf, child))
             }
             Node::Dataset(d) => {
                 buf.push(1);
-                encode_dataset(&mut body, d);
+                encode_block(buf, |buf| encode_dataset(buf, d))
             }
-        }
-        put_block(buf, &body);
+        };
+        hash.write(&buf[run..header + 16]);
+        run = buf.len();
     }
+    hash.write(&buf[run..]);
+    hash.finish()
 }
 
 fn child_path(path: &str, name: &str) -> String {
@@ -303,97 +342,114 @@ fn child_path(path: &str, name: &str) -> String {
     }
 }
 
+/// What a group block's checksum covers; the one thing v2 and v3 decode
+/// differently.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum GroupCover {
+    /// v2: the whole group body, child blocks included.
+    Body,
+    /// v3: the group's own bytes — attrs and child headers, not child bodies.
+    Framing,
+}
+
 /// Decode the checksummed root block. The root itself is a block, so even
 /// damage at the very top degrades to salvage, never to a parse error.
-fn decode_root_v2(buf: &mut Reader, report: &mut RecoveryReport) -> Group {
+fn decode_root(buf: &mut Reader, cover: GroupCover, report: &mut RecoveryReport) -> Group {
     let (Ok(len), Ok(cksum)) = (buf.extent(), buf.u64()) else {
         report.truncated = true;
         return Group::new();
     };
-    let body = match buf.bytes(len) {
-        Ok(body) => {
-            if fnv1a64(body) != cksum {
-                report.salvaged.push("/".to_string());
-            }
-            body
-        }
+    match buf.bytes(len) {
+        Ok(body) => decode_group(body, Some(cksum), "", 0, cover, report),
         Err(_) => {
             report.truncated = true;
-            buf.rest()
+            decode_group(buf.rest(), None, "", 0, cover, report)
         }
-    };
-    decode_group_v2(Reader::new(body), "", 0, report)
+    }
 }
 
-/// Lenient v2 group decoder: returns every child that survives its own
-/// checksum, records the rest in `report`, and never fails. When the
-/// enclosing block's checksum matched, this decodes the full group exactly
-/// as written. `depth` counts the groups between the root and this one;
-/// child groups past [`MAX_GROUP_DEPTH`] are dropped unread.
-fn decode_group_v2(
-    mut buf: Reader,
+/// Lenient v2/v3 group decoder: returns every child that survives its own
+/// checksum, records the rest in `report`, and never fails. `cksum` is the
+/// group block's checksum, `None` when the file was cut inside the block
+/// and there is nothing whole to check. A group that fails its own check
+/// is reported as salvaged, in pre-order before anything found below it.
+/// When every check passes, this decodes the full group exactly as written.
+/// `depth` counts the groups between the root and this one; child groups
+/// past [`MAX_GROUP_DEPTH`] are dropped unread.
+fn decode_group(
+    body: &[u8],
+    cksum: Option<u64>,
     path: &str,
     depth: usize,
+    cover: GroupCover,
     report: &mut RecoveryReport,
 ) -> Group {
+    let slot = report.salvaged.len();
     let mut g = Group::new();
-    let Ok(n_attrs) = buf.u32() else {
+    let framing = decode_group_body(body, &mut g, path, depth, cover, report);
+    if framing.is_none() {
         report.truncated = true;
-        return g;
+    }
+    let sound = match (cover, cksum) {
+        (_, None) => true,
+        (GroupCover::Body, Some(c)) => fnv1a64(body) == c,
+        (GroupCover::Framing, Some(c)) => framing == Some(c),
     };
-    for _ in 0..n_attrs {
-        let Ok((name, attr)) = decode_attr(&mut buf) else {
-            report.truncated = true;
-            return g;
-        };
+    if !sound {
+        let label = if path.is_empty() { "/" } else { path };
+        report.salvaged.insert(slot, label.to_string());
+    }
+    g
+}
+
+/// Decode a group body into `g`. Returns the FNV-1a 64 of the group's own
+/// bytes — every byte of `body` outside a child block, so bytes trailing
+/// the last child count too — or `None` if the body ended mid-record.
+fn decode_group_body(
+    body: &[u8],
+    g: &mut Group,
+    path: &str,
+    depth: usize,
+    cover: GroupCover,
+    report: &mut RecoveryReport,
+) -> Option<u64> {
+    let mut buf = Reader::new(body);
+    let mut hash = Fnv1a64::default();
+    // Start of the group bytes not yet hashed.
+    let mut run = 0;
+    for _ in 0..buf.u32().ok()? {
+        let (name, attr) = decode_attr(&mut buf).ok()?;
         g.set_attr(name, attr);
     }
-    let Ok(n_children) = buf.u32() else {
-        report.truncated = true;
-        return g;
-    };
-    for _ in 0..n_children {
-        let header = buf.str().and_then(|name| {
-            let kind = buf.u8()?;
-            let len = buf.extent()?;
-            let cksum = buf.u64()?;
-            Ok((name, kind, len, cksum))
-        });
-        let Ok((name, kind, len, cksum)) = header else {
-            report.truncated = true;
-            return g;
-        };
+    for _ in 0..buf.u32().ok()? {
+        let name = buf.str().ok()?;
+        let (kind, len, cksum) = (buf.u8().ok()?, buf.extent().ok()?, buf.u64().ok()?);
+        hash.write(&body[run..buf.pos()]);
         let full = child_path(path, &name);
         if kind == 0 && depth == MAX_GROUP_DEPTH {
             report.dropped.push(full);
-            if buf.bytes(len).is_err() {
-                report.truncated = true;
-                return g;
-            }
+            buf.bytes(len).ok()?;
+            run = buf.pos();
             continue;
         }
-        let Ok(body) = buf.bytes(len) else {
+        let Ok(child) = buf.bytes(len) else {
             // Truncated tail: salvage what the cut left of a group child;
             // a cut dataset payload cannot be trusted row-by-row, drop it.
-            report.truncated = true;
             if kind == 0 {
-                let child = decode_group_v2(Reader::new(buf.rest()), &full, depth + 1, report);
+                let child = decode_group(buf.rest(), None, &full, depth + 1, cover, report);
                 g.insert_child(name, Node::Group(child));
             } else {
                 report.dropped.push(full);
             }
-            return g;
+            return None;
         };
-        let sound = fnv1a64(body) == cksum;
+        run = buf.pos();
         match kind {
             0 => {
-                if !sound {
-                    report.salvaged.push(full.clone());
-                }
-                let child = decode_group_v2(Reader::new(body), &full, depth + 1, report);
+                let child = decode_group(child, Some(cksum), &full, depth + 1, cover, report);
                 g.insert_child(name, Node::Group(child));
             }
-            1 if sound => match decode_dataset(&mut Reader::new(body)) {
+            1 if fnv1a64(child) == cksum => match decode_dataset(&mut Reader::new(child)) {
                 Ok(d) => {
                     g.insert_child(name, Node::Dataset(d));
                 }
@@ -402,7 +458,8 @@ fn decode_group_v2(
             _ => report.dropped.push(full),
         }
     }
-    g
+    hash.write(&body[run..]);
+    Some(hash.finish())
 }
 
 /// Strict legacy decoder for v1 files (no per-block framing, no checksums).
@@ -578,9 +635,10 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         let f = H5File::open(&path).unwrap();
         let report = f.recovery().expect("flip must report recovery");
-        assert!(report
-            .dropped
-            .contains(&"stencil_region/inputs".to_string()));
+        assert_eq!(report.dropped, vec!["stencil_region/inputs".to_string()]);
+        // A payload byte sits under its dataset's checksum only, so no
+        // ancestor group is salvaged.
+        assert!(report.salvaged.is_empty(), "{report}");
         assert!(!report.truncated);
         // Siblings after the damaged block still load bit-exactly.
         let region = f.root().group("stencil_region").unwrap();
@@ -590,6 +648,89 @@ mod tests {
             vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
         );
         assert_eq!(region.attrs_map().len(), 2);
+    }
+
+    #[test]
+    fn flipped_group_attr_salvages_only_that_group() {
+        let path = tmp("flip_attr.h5lite");
+        {
+            let mut f = H5File::create(&path);
+            *f.root_mut() = sample_tree();
+            f.flush().unwrap();
+        }
+        let mut bytes = std::fs::read(&path).unwrap();
+        // The value of `stencil_region`'s `mean_time` attr (1.25 as f64 LE).
+        let needle = 1.25f64.to_le_bytes();
+        let at = bytes
+            .windows(needle.len())
+            .position(|w| w == needle)
+            .expect("attr present");
+        bytes[at + 3] ^= 0x10;
+        std::fs::write(&path, &bytes).unwrap();
+        let f = H5File::open(&path).unwrap();
+        let report = f.recovery().expect("flip must report recovery");
+        assert_eq!(report.salvaged, vec!["stencil_region".to_string()]);
+        assert!(report.dropped.is_empty(), "{report}");
+        assert!(!report.truncated);
+        let want = sample_tree();
+        let want = want.group("stencil_region").unwrap();
+        let got = f.root().group("stencil_region").unwrap();
+        assert_eq!(got.children(), want.children(), "children bit-exact");
+        assert_eq!(got.attr("invocations"), Some(&Attr::Int(3)));
+        assert_ne!(got.attr("mean_time"), want.attr("mean_time"));
+        assert_eq!(f.root().attrs_map(), sample_tree().attrs_map());
+    }
+
+    #[test]
+    fn unhashed_bytes_in_a_group_body_salvage_it() {
+        // Bytes appended to the root body are under no checksum; lengthening
+        // the root block over them must not open clean.
+        let path = tmp("trailing.h5lite");
+        {
+            let mut f = H5File::create(&path);
+            *f.root_mut() = sample_tree();
+            f.flush().unwrap();
+        }
+        let mut bytes = std::fs::read(&path).unwrap();
+        let len = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
+        bytes[8..16].copy_from_slice(&(len + 4).to_le_bytes());
+        bytes.extend_from_slice(&[0; 4]);
+        std::fs::write(&path, &bytes).unwrap();
+        let f = H5File::open(&path).unwrap();
+        let report = f.recovery().expect("trailing bytes must report");
+        assert_eq!(report.salvaged, vec!["/".to_string()]);
+        assert_eq!(f.root(), &sample_tree());
+    }
+
+    #[test]
+    fn sibling_files_flush_through_their_own_temp_files() {
+        // `x.h5` and `x.dat` share a stem; each must stage through its own
+        // temp file, or concurrent flushes cross their trees. A barrier
+        // starts both flushes of a round together, so neither thread may
+        // stop early: each counts its bad rounds instead.
+        const ROUNDS: i64 = 100;
+        let dir = tmp("siblings");
+        std::fs::create_dir_all(&dir).unwrap();
+        let round_start = std::sync::Barrier::new(2);
+        let flusher = |name: &'static str| {
+            let mut f = H5File::create(dir.join(name));
+            let mut bad = 0;
+            for round in 0..ROUNDS {
+                f.root_mut().set_attr("file", Attr::Str(name.into()));
+                f.root_mut().set_attr("round", Attr::Int(round));
+                round_start.wait();
+                let own = f.flush().is_ok()
+                    && H5File::open(f.path()).is_ok_and(|back| back.root() == f.root());
+                bad += usize::from(!own);
+            }
+            bad
+        };
+        let (h5, dat) = std::thread::scope(|s| {
+            let h5 = s.spawn(|| flusher("x.h5"));
+            let dat = s.spawn(|| flusher("x.dat"));
+            (h5.join().unwrap(), dat.join().unwrap())
+        });
+        assert_eq!((h5, dat), (0, 0), "bad rounds of {ROUNDS}");
     }
 
     #[test]

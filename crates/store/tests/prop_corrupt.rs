@@ -2,14 +2,18 @@
 //! and byte flips of a valid db file must never panic `H5File::open` — every
 //! outcome is either a typed `StoreError` or a *consistent* recovery (all
 //! surviving datasets fully readable, damage described by the
-//! `RecoveryReport`). Covers checksummed v2 files and legacy v1 files, whose
-//! strict decoder sees every flip because nothing checksums it first.
-//! Deterministic: proptest's RNG plus fixed payload generators, no wall
-//! clock.
+//! `RecoveryReport`). Covers checksummed v3 files, the committed v2 fixture
+//! and legacy v1 files, whose strict decoder sees every flip because nothing
+//! checksums it first. Deterministic: proptest's RNG plus fixed payload
+//! generators, no wall clock.
 
+use hpacml_faults::fnv1a64;
 use hpacml_store::{Attr, DType, Group, H5File, Node, StoreError};
 use proptest::prelude::*;
 use std::path::PathBuf;
+
+/// The exact file the last v2 encoder wrote for the golden tree.
+const V2_FILE: &[u8] = include_bytes!("fixtures/golden_v2.h5lite");
 
 fn tmp(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("hpacml-store-prop-corrupt");
@@ -228,6 +232,68 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
+    /// Any cut of the v2 fixture recovers to a readable prefix or fails
+    /// typed.
+    #[test]
+    fn v2_truncation_never_panics(cut_permille in 0u32..1000) {
+        let cut = (V2_FILE.len() as u64 * u64::from(cut_permille) / 1000) as usize;
+        open_is_sane(&V2_FILE[..cut], &format!("v2trunc-{cut_permille}"));
+    }
+
+    /// Any flipped byte of the v2 fixture drops at most the damaged subtree.
+    #[test]
+    fn v2_byte_flip_never_panics(at in 0usize..V2_FILE.len(), mask in 1u8..=255) {
+        let mut bytes = V2_FILE.to_vec();
+        bytes[at] ^= mask;
+        open_is_sane(&bytes, &format!("v2flip-{at}-{mask}"));
+    }
+
+    /// A torn sector's worth of flips over the v2 fixture.
+    #[test]
+    fn v2_burst_damage_never_panics(
+        start in 0usize..V2_FILE.len(),
+        burst in 1usize..48,
+        mask in 1u8..=255,
+    ) {
+        let mut bytes = V2_FILE.to_vec();
+        let end = (start + burst).min(bytes.len());
+        for b in &mut bytes[start..end] {
+            *b ^= mask;
+        }
+        open_is_sane(&bytes, &format!("v2burst-{start}-{burst}-{mask}"));
+    }
+}
+
+/// Every single-bit flip of a small v3 file is caught: the open fails typed
+/// or reports a recovery, and never comes back clean with other content.
+/// A byte no checksum covered would show up here as a clean open.
+#[test]
+fn every_v3_bit_flip_is_detected() {
+    let clean = clean_bytes("exhaustive", 1);
+    for at in 0..clean.len() {
+        for bit in 0..8 {
+            let mut bytes = clean.clone();
+            bytes[at] ^= 1 << bit;
+            let path = tmp("exhaustive-flip.h5lite");
+            std::fs::write(&path, &bytes).unwrap();
+            match H5File::open(&path) {
+                Ok(f) => {
+                    assert!(
+                        f.recovery().is_some(),
+                        "flip of bit {bit} at byte {at} opened clean"
+                    );
+                    assert_consistent(f.root(), "");
+                }
+                Err(StoreError::BadMagic | StoreError::Corrupt(_)) => {}
+                Err(e) => panic!("flip of bit {bit} at byte {at}: {e}"),
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
     /// A flipped byte anywhere in a v1 file fails typed or opens a
     /// consistent tree.
     #[test]
@@ -357,11 +423,7 @@ fn deep_v1(levels: usize) -> Vec<u8> {
 /// level decodes through salvage.
 fn deep_v2(levels: usize, checksums: bool) -> Vec<u8> {
     fn put_block(buf: &mut Vec<u8>, body: &[u8], checksums: bool) {
-        let cksum = if checksums {
-            hpacml_faults::fnv1a64(body)
-        } else {
-            0
-        };
+        let cksum = if checksums { fnv1a64(body) } else { 0 };
         buf.extend_from_slice(&(body.len() as u64).to_le_bytes());
         buf.extend_from_slice(&cksum.to_le_bytes());
         buf.extend_from_slice(body);
@@ -399,23 +461,78 @@ fn v1_group_nesting_is_capped() {
     }
 }
 
-/// v2 keeps the first 64 levels and reports the group below them as
-/// dropped, whether the checksums hold (65 levels) or every level is
-/// salvaged (10^4 levels).
+/// The same chain as a v3 file, built in O(levels): each level's body is
+/// its own 30 bytes followed by the body of the level below, and its
+/// checksum covers only those 30 bytes. Checksums are real when `checksums`
+/// is set and zero otherwise.
+fn deep_v3(levels: usize, checksums: bool) -> Vec<u8> {
+    let cksum = |bytes: &[u8]| if checksums { fnv1a64(bytes) } else { 0 };
+    let innermost = [0u8; 8]; // no attrs, no children
+    let (mut len, mut sum) = (innermost.len() as u64, cksum(&innermost));
+    let mut own = Vec::with_capacity(levels);
+    for _ in 0..levels {
+        let mut g = Vec::with_capacity(30);
+        g.extend_from_slice(&0u32.to_le_bytes());
+        g.extend_from_slice(&1u32.to_le_bytes());
+        g.extend_from_slice(&1u32.to_le_bytes());
+        g.extend_from_slice(b"g");
+        g.push(0);
+        g.extend_from_slice(&len.to_le_bytes());
+        g.extend_from_slice(&sum.to_le_bytes());
+        len += g.len() as u64;
+        sum = cksum(&g);
+        own.push(g);
+    }
+    let mut file = b"H5LITE03".to_vec();
+    file.extend_from_slice(&len.to_le_bytes());
+    file.extend_from_slice(&sum.to_le_bytes());
+    for g in own.iter().rev() {
+        file.extend_from_slice(g);
+    }
+    file.extend_from_slice(&innermost);
+    file
+}
+
+/// Open a hand-built chain of `levels` groups and check the depth cap: the
+/// first 64 levels are kept and the group below them is reported dropped,
+/// whether the checksums hold or every level is salvaged.
+fn assert_nesting_capped(file: Vec<u8>, tag: &str, levels: usize, checksums: bool) {
+    let path = tmp(&format!("{tag}-deep-{levels}-{checksums}.h5lite"));
+    std::fs::write(&path, file).unwrap();
+    let f = H5File::open(&path).unwrap();
+    assert_eq!(
+        chain_depth(f.root()),
+        levels.min(64),
+        "{tag}: {levels} levels"
+    );
+    if levels == 64 {
+        assert!(f.recovery().is_none(), "64 levels are within the cap");
+        return;
+    }
+    let report = f.recovery().expect("a dropped subtree is reported");
+    assert_eq!(
+        report.dropped,
+        vec![chain_path(65)],
+        "{tag}: {levels} levels"
+    );
+    assert!(!report.truncated);
+    assert_eq!(report.salvaged.len(), if checksums { 0 } else { 65 });
+}
+
+/// v2 caps nesting at 64 levels whether the checksums hold (65 levels) or
+/// every level is salvaged (10^4 levels).
 #[test]
 fn v2_group_nesting_is_capped() {
     for (levels, checksums) in [(64, true), (65, true), (DEEP, false)] {
-        let path = tmp(&format!("v2-deep-{levels}.h5lite"));
-        std::fs::write(&path, deep_v2(levels, checksums)).unwrap();
-        let f = H5File::open(&path).unwrap();
-        assert_eq!(chain_depth(f.root()), levels.min(64), "{levels} levels");
-        if levels == 64 {
-            assert!(f.recovery().is_none(), "64 levels are within the cap");
-            continue;
-        }
-        let report = f.recovery().expect("a dropped subtree is reported");
-        assert_eq!(report.dropped, vec![chain_path(65)], "{levels} levels");
-        assert!(!report.truncated);
-        assert_eq!(report.salvaged.len(), if checksums { 0 } else { 65 });
+        assert_nesting_capped(deep_v2(levels, checksums), "v2", levels, checksums);
+    }
+}
+
+/// v3 caps nesting the same way. Its checksums cover a group's own bytes
+/// only, so even the 10^4-level chain can carry real ones.
+#[test]
+fn v3_group_nesting_is_capped() {
+    for (levels, checksums) in [(64, true), (65, true), (DEEP, true), (DEEP, false)] {
+        assert_nesting_capped(deep_v3(levels, checksums), "v3", levels, checksums);
     }
 }
