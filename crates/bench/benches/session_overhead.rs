@@ -1,20 +1,22 @@
-//! Criterion: per-invocation overhead of the compiled `Session` path vs the
-//! one-shot `Region::invoke` path on a small MLP region.
+//! Criterion: per-invocation overhead of reusing a compiled `Session` vs
+//! building one per call on a small MLP region.
 //!
 //! Three rungs of the ladder, all running the *same* surrogate invocation
 //! (gather → infer → scatter) on the same data:
 //!
-//! * `one_shot_uncached` — `Region::clear_caches()` before every invocation:
-//!   the bridge plans are recompiled, the model handle re-resolved and the
-//!   assembly layout re-derived each time (the pre-compiled-pipeline world);
-//! * `one_shot_cached`  — plain `invoke`: compiled state is fetched from the
-//!   region's caches per call (hashing + per-call bookkeeping remain);
-//! * `session_reuse`    — a `Session` compiled once outside the loop: no
+//! * `session_per_call_uncached` — `Region::clear_caches()` plus
+//!   `Region::session` before every invocation: the bridge plans are
+//!   recompiled, the model handle re-resolved and the assembly layout
+//!   re-derived each time (the pre-compiled-pipeline world);
+//! * `session_per_call_cached` — `Region::session` per call with warm
+//!   caches: compiled state is fetched from the region's caches per call
+//!   (hashing + per-call bookkeeping remain);
+//! * `session_reuse` — a `Session` compiled once outside the loop: no
 //!   lookups, steady-state allocation-free.
 //!
 //! The acceptance bar for the compiled pipeline is `session_reuse` beating
-//! `one_shot_uncached` by ≥ 2x per invocation; in practice the gap is far
-//! larger because plan compilation dwarfs a small MLP's inference.
+//! `session_per_call_uncached` by ≥ 2x per invocation; in practice the gap
+//! is far larger because plan compilation dwarfs a small MLP's inference.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hpacml_core::Region;
@@ -60,39 +62,40 @@ fn bench_session_overhead(c: &mut Criterion) {
     let binds = Bindings::new().with("N", N as i64);
     let x: Vec<f32> = (0..N * FEATURES).map(|k| (k as f32).sin() * 0.5).collect();
     let mut y = vec![0.0f32; N];
+    let shapes: [(&str, &[usize]); 2] = [("x", &[N * FEATURES]), ("y", &[N])];
 
     let mut group = c.benchmark_group("session_overhead");
 
-    group.bench_function("one_shot_uncached", |b| {
+    group.bench_function("session_per_call_uncached", |b| {
         b.iter(|| {
             region.clear_caches();
-            let mut out = region
-                .invoke(&binds)
-                .input("x", black_box(&x), &[N * FEATURES])
+            let session = region.session(&binds, &shapes, 1).unwrap();
+            let mut out = session
+                .invoke()
+                .input("x", black_box(&x))
                 .unwrap()
                 .run(|| unreachable!())
                 .unwrap();
-            out.output("y", black_box(&mut y), &[N]).unwrap();
+            out.output("y", black_box(&mut y)).unwrap();
             out.finish().unwrap();
         });
     });
 
-    group.bench_function("one_shot_cached", |b| {
+    group.bench_function("session_per_call_cached", |b| {
         b.iter(|| {
-            let mut out = region
-                .invoke(&binds)
-                .input("x", black_box(&x), &[N * FEATURES])
+            let session = region.session(&binds, &shapes, 1).unwrap();
+            let mut out = session
+                .invoke()
+                .input("x", black_box(&x))
                 .unwrap()
                 .run(|| unreachable!())
                 .unwrap();
-            out.output("y", black_box(&mut y), &[N]).unwrap();
+            out.output("y", black_box(&mut y)).unwrap();
             out.finish().unwrap();
         });
     });
 
-    let session = region
-        .session(&binds, &[("x", &[N * FEATURES]), ("y", &[N])], 1)
-        .unwrap();
+    let session = region.session(&binds, &shapes, 1).unwrap();
     group.bench_function("session_reuse", |b| {
         b.iter(|| {
             let mut out = session

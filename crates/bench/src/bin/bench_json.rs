@@ -4,8 +4,8 @@
 //! Covers the axes the ISSUE's perf story rests on, at quick scale: bridge
 //! layout-transformation throughput (gather/scatter vs memcpy), NN inference
 //! latency (MLP + CNN), reduced-precision serving (`nn.mlp_fwd_b1_*` and the
-//! `quant.*` keys), per-invocation overhead of the compiled `Session` path
-//! vs the one-shot path, runtime batching, the shadow-validation
+//! `quant.*` keys), per-invocation overhead of reusing a compiled `Session`
+//! vs building one per call, runtime batching, the shadow-validation
 //! overhead of an attached `ValidationPolicy` (`validate.*` keys), and
 //! admission-control behavior under a closed-loop overload burst
 //! (`serve.*` keys).
@@ -335,7 +335,7 @@ fn run_once() -> Measured {
         entries.push((format!("nn.mlp_{}_epilogue_ns", s.layer), s.epilogue_ns));
     }
 
-    // --- Invocation overhead: session vs one-shot on a small MLP region ---
+    // --- Invocation overhead: session reuse vs a session built per call ---
     let dir = std::env::temp_dir().join("hpacml-bench-json");
     std::fs::create_dir_all(&dir).unwrap();
     let model_path = dir.join("small.hml");
@@ -359,32 +359,33 @@ fn run_once() -> Measured {
     let binds = Bindings::new().with("N", rn as i64);
     let xr: Vec<f32> = (0..rn * 2).map(|k| (k as f32).sin() * 0.5).collect();
     let mut y = vec![0.0f32; rn];
+    let shapes: [(&str, &[usize]); 2] = [("x", &[rn * 2]), ("y", &[rn])];
     let uncached = measure(samples, 50, || {
         region.clear_caches();
-        let mut out = region
-            .invoke(&binds)
-            .input("x", black_box(&xr), &[rn * 2])
+        let session = region.session(&binds, &shapes, 1).unwrap();
+        let mut out = session
+            .invoke()
+            .input("x", black_box(&xr))
             .unwrap()
             .run(|| unreachable!())
             .unwrap();
-        out.output("y", black_box(&mut y), &[rn]).unwrap();
+        out.output("y", black_box(&mut y)).unwrap();
         out.finish().unwrap();
     });
-    entries.push(("invoke.one_shot_uncached_ns".into(), uncached));
+    entries.push(("invoke.session_per_call_uncached_ns".into(), uncached));
     let cached = measure(samples, 200, || {
-        let mut out = region
-            .invoke(&binds)
-            .input("x", black_box(&xr), &[rn * 2])
+        let session = region.session(&binds, &shapes, 1).unwrap();
+        let mut out = session
+            .invoke()
+            .input("x", black_box(&xr))
             .unwrap()
             .run(|| unreachable!())
             .unwrap();
-        out.output("y", black_box(&mut y), &[rn]).unwrap();
+        out.output("y", black_box(&mut y)).unwrap();
         out.finish().unwrap();
     });
-    entries.push(("invoke.one_shot_cached_ns".into(), cached));
-    let session = region
-        .session(&binds, &[("x", &[rn * 2]), ("y", &[rn])], 1)
-        .unwrap();
+    entries.push(("invoke.session_per_call_cached_ns".into(), cached));
+    let session = region.session(&binds, &shapes, 1).unwrap();
     let sess = measure(samples, 200, || {
         let mut out = session
             .invoke()
@@ -710,7 +711,10 @@ fn merge_best(
     }
     if next.overhead_uncached < best.overhead_uncached {
         best.overhead_uncached = next.overhead_uncached;
-        chosen.insert("invoke.one_shot_uncached_overhead_ns".into(), attempt);
+        chosen.insert(
+            "invoke.session_per_call_uncached_overhead_ns".into(),
+            attempt,
+        );
     }
 }
 
@@ -794,8 +798,8 @@ fn gates(
     if let Some(min) = assert_ratio {
         if m.ratio < min {
             return Err(format!(
-                "overhead gate: cached Session must show >= {min}x lower per-invocation \
-                 overhead than the uncached one-shot path (got {:.2}x)",
+                "overhead gate: a reused Session must show >= {min}x lower per-invocation \
+                 overhead than an uncached session built per call (got {:.2}x)",
                 m.ratio
             ));
         }
@@ -948,7 +952,7 @@ fn main() {
         m.overhead_sess
     ));
     lines.push(format!(
-        "  \"invoke.one_shot_uncached_overhead_ns\": {}",
+        "  \"invoke.session_per_call_uncached_overhead_ns\": {}",
         m.overhead_uncached
     ));
     lines.push(format!(

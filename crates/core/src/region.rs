@@ -44,8 +44,8 @@ pub struct Region {
     /// The model handle resolved once per path — invoke-time inference never
     /// hashes a path into the engine cache.
     model: Mutex<Option<(PathBuf, Arc<SavedModel>)>>,
-    /// Compiled invocation cores, keyed by (bindings, input shapes). Both the
-    /// public [`Session`] API and the one-shot `invoke` path share these.
+    /// Compiled invocation cores, keyed by (bindings, input shapes): every
+    /// [`Session`] built for the same key shares one core.
     sessions: Mutex<HashMap<SessionKey, Arc<SessionCore>>>,
     /// Online-validation state (policy + sampling sequence + fallback
     /// controller), when a policy is attached.
@@ -463,31 +463,12 @@ impl Region {
         Session::build(self, binds, shapes, max_batch)
     }
 
-    /// Append one collected sample to the region's database group. Thin
-    /// adapter over [`Region::record_collection_batch`] with a batch of 1.
-    pub(crate) fn record_collection(
-        &self,
-        inputs: &[(&str, &hpacml_tensor::Tensor)],
-        outputs: &[(&str, &hpacml_tensor::Tensor)],
-        region_time_ns: u64,
-    ) -> Result<()> {
-        fn as_rows<'a>(
-            pairs: &'a [(&'a str, &'a hpacml_tensor::Tensor)],
-        ) -> Vec<(&'a str, &'a [usize], &'a [f32])> {
-            pairs
-                .iter()
-                .map(|&(name, t)| (name, t.dims(), t.data()))
-                .collect()
-        }
-        self.record_collection_batch(1, &as_rows(inputs), &as_rows(outputs), region_time_ns)
-    }
-
     /// Append `n` collected samples from batched tensors — the collection
     /// path of [`Session::invoke_batch`]. Each entry is
     /// `(array name, per-sample dims, batched data)` where the data holds the
     /// `n` per-sample tensors back to back; row `i` of every dataset gets
     /// sample `i`'s slice, so the database is laid out exactly as `n`
-    /// sequential one-shot invocations would have left it. Each dataset is
+    /// sequential single-sample invocations would have left it. Each dataset is
     /// resolved once and fed its `n` rows in a burst.
     pub(crate) fn record_collection_batch(
         &self,

@@ -68,13 +68,19 @@ mod tests {
 
     #[test]
     fn register_and_snapshot() {
-        let before = registered_regions().len();
+        // Other unit tests register regions concurrently: count only this
+        // test's own records.
+        let count = || {
+            registered_regions()
+                .iter()
+                .filter(|r| r.region == "test-reg")
+                .count()
+        };
+        let before = count();
         register(RegionRecord {
             region: "test-reg".into(),
             directives: vec!["ml(collect)".into()],
         });
-        let after = registered_regions();
-        assert_eq!(after.len(), before + 1);
-        assert!(after.iter().any(|r| r.region == "test-reg"));
+        assert_eq!(count(), before + 1);
     }
 }

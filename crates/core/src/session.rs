@@ -8,7 +8,7 @@
 //!
 //! * the gather plan for every `in(...)`/`inout(...)` array and the scatter
 //!   plan for every `out(...)`/`inout(...)` array (shared with the region's
-//!   plan cache, so the one-shot API benefits too);
+//!   plan cache, so sessions built for the same shapes compile once);
 //! * the model handle (`Arc<SavedModel>`) — invoke-time inference never
 //!   hashes a path into the engine cache again;
 //! * the input-assembly layout: flatten/concat/reshape become precomputed
@@ -56,7 +56,6 @@
 //! # }
 //! ```
 
-use crate::exec::PathTaken;
 use crate::region::Region;
 use crate::timing::timed;
 use crate::validate::{RegionValidation, SampleError};
@@ -233,7 +232,7 @@ pub(crate) struct SurrogateState {
 
 /// The compiled, shareable part of a session: input gather plans in assembly
 /// order plus the lazily resolved surrogate state. Cached on the region per
-/// (bindings, input shapes) so the one-shot `invoke` path compiles once too.
+/// (bindings, input shapes) so a session rebuilt per call compiles once too.
 pub(crate) struct SessionCore {
     /// (array name, gather plan) in assembly order.
     inputs: Vec<(String, Arc<CompiledMap>)>,
@@ -324,10 +323,10 @@ impl SessionCore {
     /// building thread starts its first invocation already in the
     /// zero-alloc steady state) and [`SessionCore::run_surrogate`] (every
     /// other thread warms on its first run). Skipped for `max_batch == 1`
-    /// (the one-shot exec path and single-sample sessions): the forward
-    /// pass sizes the arenas naturally there, and skipping keeps a thread
-    /// that alternates one-shot and batched invocations of the same core
-    /// from re-reserving on every flip of the single-slot warm token.
+    /// (single-sample sessions): the forward pass sizes the arenas
+    /// naturally there, and skipping keeps a thread that alternates
+    /// single-sample and batched sessions of the same core from
+    /// re-reserving on every flip of the single-slot warm token.
     pub(crate) fn warm_thread_workspace(
         &self,
         state: &SurrogateState,
@@ -476,6 +475,15 @@ impl SessionCore {
 // The public Session API
 // ---------------------------------------------------------------------------
 
+/// Which execution path an invocation took.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PathTaken {
+    /// The surrogate model produced the outputs.
+    Surrogate,
+    /// The original code ran (with data collection if enabled).
+    Accurate,
+}
+
 /// A region compiled against concrete bindings and **per-sample** array
 /// shapes — build once with [`Region::session`], invoke many times, batching
 /// up to `max_batch` invocations into one forward pass with
@@ -530,6 +538,24 @@ impl<'r> Session<'r> {
             let numel = plan.numel();
             outputs.push((name.clone(), plan, offset));
             offset += numel;
+        }
+        // Per-thread buffers hold `max_batch` samples of every array (the
+        // staging buffer all inputs at once): reject a batch whose element
+        // count overflows `usize` here, not as a panic on first invoke.
+        let per_sample = |plan: &CompiledMap| plan.numel().max(plan.array_numel());
+        let overflows = |k: Option<usize>| k.and_then(|k| k.checked_mul(max_batch)).is_none();
+        let staged = (0..core.input_count()).try_fold(0usize, |acc, i| {
+            acc.checked_add(per_sample(core.input_plan(i)))
+        });
+        if overflows(staged)
+            || outputs
+                .iter()
+                .any(|(_, p, _)| overflows(Some(per_sample(p))))
+        {
+            return Err(CoreError::Region(format!(
+                "region `{}`: session max_batch {max_batch} overflows the per-batch element count",
+                region.name()
+            )));
         }
         // If this core's model is already resolved (a second session built
         // on a cached core), warm the building thread's inference workspace
@@ -675,8 +701,9 @@ pub struct SessionRun<'s, 'r> {
 }
 
 impl<'s, 'r> SessionRun<'s, 'r> {
-    /// Host-side value for the `predicated`/`if` decision, as on
-    /// [`crate::Invocation::use_surrogate`].
+    /// Host-side value for the `predicated`/`if` decision: `true` runs the
+    /// surrogate, `false` runs the accurate path (collecting data). This is
+    /// how the Fig. 9 interleaving experiments toggle per timestep.
     pub fn use_surrogate(mut self, value: bool) -> Self {
         self.surrogate_override = Some(value);
         self
@@ -1058,8 +1085,8 @@ impl SessionOutcome<'_, '_> {
     /// Finalize: persist collected data, feed any shadow-validation errors
     /// into the fallback controller (recording their rows), and fold
     /// timings into the region stats. A batch of `n` records `n` collection
-    /// rows — exactly what `n` sequential one-shot invocations would have
-    /// recorded. The scratch buffers return to this thread for the next
+    /// rows — exactly what `n` sequential single-sample invocations would
+    /// have recorded. The scratch buffers return to this thread for the next
     /// invocation when `self` drops — including on error or early-drop
     /// paths.
     pub fn finish(mut self) -> Result<PathTaken> {

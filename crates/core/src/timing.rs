@@ -35,7 +35,7 @@ pub struct RegionStats {
     /// Surrogate invocations that had to resolve the model by path.
     pub model_cache_misses: u64,
     /// Logical invocations (samples) that went through a surrogate forward
-    /// pass — batch-occupancy numerator. A one-shot invocation submits 1; an
+    /// pass — batch-occupancy numerator. A single-sample `invoke()` submits 1; an
     /// `invoke_batch(n)` submits `n`; the concurrent auto-batching submitter
     /// adds whatever it coalesced.
     pub batch_submitted: u64,

@@ -16,17 +16,19 @@ use hpacml_core::{
 use hpacml_directive::sema::Bindings;
 use hpacml_faults::{FaultKind, Plan};
 use hpacml_nn::spec::{Activation, ModelSpec};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use std::path::PathBuf;
 use std::time::Duration;
 
-/// The fault plan is process-global: chaos tests serialize on this lock so
-/// one scenario's schedule never bleeds into another (the default test
-/// runner is multi-threaded).
+/// The fault plan is process-global: every chaos test holds this lock for
+/// its whole body, set-up included, so one scenario's schedule never fires
+/// in another's model loads or flushes (the default test runner is
+/// multi-threaded).
 static CHAOS_LOCK: Mutex<()> = Mutex::new(());
 
-fn with_plan(plan: Plan, f: impl FnOnce()) {
-    let _guard = CHAOS_LOCK.lock();
+/// Run `f` with `plan` installed. The guard argument proves the caller
+/// holds the suite lock for its whole test, not just for `f`.
+fn with_plan(_serial: &MutexGuard<'static, ()>, plan: Plan, f: impl FnOnce()) {
     hpacml_faults::install(plan);
     let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
     hpacml_faults::clear();
@@ -90,13 +92,16 @@ fn collect_region(name: &str, db: &std::path::Path) -> Region {
 
 fn collect_one(region: &Region, binds: &Bindings, x: &[f32; 3], yv: f32) {
     let mut y = [0.0f32; 1];
-    let mut out = region
-        .invoke(binds)
-        .input("x", x, &[3])
+    let session = region
+        .session(binds, &[("x", &[3]), ("y", &[1])], 1)
+        .unwrap();
+    let mut out = session
+        .invoke()
+        .input("x", x)
         .unwrap()
         .run(|| y[0] = yv)
         .unwrap();
-    out.output("y", &mut y, &[1]).unwrap();
+    out.output("y", &mut y).unwrap();
     out.finish().unwrap();
 }
 
@@ -121,29 +126,36 @@ fn rows_on_disk(db: &std::path::Path, region: &str) -> usize {
 
 #[test]
 fn transient_store_kill_is_absorbed_by_retry() {
+    let serial = CHAOS_LOCK.lock();
     let dir = tmpdir("store-transient");
     let db = dir.join("d.h5");
     let binds = Bindings::new().with("N", 1);
-    with_plan(Plan::seeded(0xA1).fail_once("store.flush.write", 0), || {
-        let region = collect_region("chaoskill", &db);
-        collect_one(&region, &binds, &[0.1, 0.2, 0.3], 1.0);
-        // First write attempt dies; the default budget retries and lands it.
-        region.flush_db().unwrap();
-        let s = region.stats();
-        assert_eq!(s.retry_attempts, 1);
-        assert_eq!(s.retry_giveups, 0);
-        assert_eq!(s.db_errors, 0);
-        assert_eq!(hpacml_faults::injected_at("store.flush.write"), 1);
-    });
+    with_plan(
+        &serial,
+        Plan::seeded(0xA1).fail_once("store.flush.write", 0),
+        || {
+            let region = collect_region("chaoskill", &db);
+            collect_one(&region, &binds, &[0.1, 0.2, 0.3], 1.0);
+            // First write attempt dies; the default budget retries and lands it.
+            region.flush_db().unwrap();
+            let s = region.stats();
+            assert_eq!(s.retry_attempts, 1);
+            assert_eq!(s.retry_giveups, 0);
+            assert_eq!(s.db_errors, 0);
+            assert_eq!(hpacml_faults::injected_at("store.flush.write"), 1);
+        },
+    );
     assert_eq!(rows_on_disk(&db, "chaoskill"), 1);
 }
 
 #[test]
 fn store_kill_mid_flush_preserves_the_committed_prefix() {
+    let serial = CHAOS_LOCK.lock();
     let dir = tmpdir("store-kill");
     let db = dir.join("d.h5");
     let binds = Bindings::new().with("N", 1);
     with_plan(
+        &serial,
         Plan::seeded(0xA2).fail_range("store.flush.write", 0, 1_000),
         || {
             let region = collect_region("chaoskill", &db);
@@ -166,6 +178,7 @@ fn store_kill_mid_flush_preserves_the_committed_prefix() {
 
 #[test]
 fn rename_kill_preserves_the_previous_generation() {
+    let serial = CHAOS_LOCK.lock();
     let dir = tmpdir("store-rename");
     let db = dir.join("d.h5");
     let binds = Bindings::new().with("N", 1);
@@ -178,6 +191,7 @@ fn rename_kill_preserves_the_previous_generation() {
     // Generation 2 dies at the atomic-rename step: the temp file is fully
     // written but never swapped in, so readers keep generation 1.
     with_plan(
+        &serial,
         Plan::seeded(0xA3).fail_range("store.flush.rename", 0, 1_000),
         || {
             collect_one(&region, &binds, &[0.4, 0.5, 0.6], 2.0);
@@ -197,6 +211,7 @@ fn rename_kill_preserves_the_previous_generation() {
 
 #[test]
 fn model_load_flake_recovers_bit_identically() {
+    let serial = CHAOS_LOCK.lock();
     let dir = tmpdir("load-flake");
     let model = dir.join("m.hml");
     save_mlp(&model, 31);
@@ -224,32 +239,38 @@ fn model_load_flake_recovers_bit_identically() {
     // The engine's own cache would mask the reload — use a fresh path.
     let flaky = dir.join("flaky.hml");
     std::fs::copy(&model, &flaky).unwrap();
-    with_plan(Plan::seeded(0xB1).fail_range("nn.load", 0, 2), || {
-        let region = infer_region("flake", &flaky);
-        let session = region
-            .session(&binds, &[("x", &[3]), ("y", &[1])], 1)
-            .unwrap();
-        let mut y = [0.0f32; 1];
-        let mut out = session
-            .invoke()
-            .input("x", &sample)
-            .unwrap()
-            .run(|| unreachable!("flake must be absorbed by retry"))
-            .unwrap();
-        out.output("y", &mut y).unwrap();
-        out.finish().unwrap();
-        assert_eq!(y[0], reference, "recovered load serves identical bits");
-        assert_eq!(hpacml_faults::injected_at("nn.load"), 2);
-    });
+    with_plan(
+        &serial,
+        Plan::seeded(0xB1).fail_range("nn.load", 0, 2),
+        || {
+            let region = infer_region("flake", &flaky);
+            let session = region
+                .session(&binds, &[("x", &[3]), ("y", &[1])], 1)
+                .unwrap();
+            let mut y = [0.0f32; 1];
+            let mut out = session
+                .invoke()
+                .input("x", &sample)
+                .unwrap()
+                .run(|| unreachable!("flake must be absorbed by retry"))
+                .unwrap();
+            out.output("y", &mut y).unwrap();
+            out.finish().unwrap();
+            assert_eq!(y[0], reference, "recovered load serves identical bits");
+            assert_eq!(hpacml_faults::injected_at("nn.load"), 2);
+        },
+    );
 }
 
 #[test]
 fn permanent_load_outage_degrades_to_host_under_injection() {
+    let serial = CHAOS_LOCK.lock();
     let dir = tmpdir("load-outage");
     let model = dir.join("m.hml");
     save_mlp(&model, 33);
     let binds = Bindings::new().with("N", 1);
     with_plan(
+        &serial,
         Plan::seeded(0xB2).fail_range("nn.load", 0, 1_000_000),
         || {
             let region = infer_region("outage", &model);
@@ -287,6 +308,7 @@ fn permanent_load_outage_degrades_to_host_under_injection() {
 
 #[test]
 fn shadow_panic_never_corrupts_served_results() {
+    let serial = CHAOS_LOCK.lock();
     let dir = tmpdir("shadow-panic");
     let model = dir.join("m.hml");
     save_mlp(&model, 41);
@@ -317,6 +339,7 @@ fn shadow_panic_never_corrupts_served_results() {
         .set_validation_policy(ValidationPolicy::new(ErrorMetric::Rmse, 1e9).with_sample_rate(1))
         .unwrap();
     with_plan(
+        &serial,
         Plan::seeded(0xC1).rule(hpacml_faults::Rule {
             pattern: "serve.shadow".to_string(),
             kind: FaultKind::Panic,
@@ -359,6 +382,7 @@ fn shadow_panic_never_corrupts_served_results() {
 
 #[test]
 fn overload_burst_sheds_typed_and_serves_the_rest_exactly() {
+    let serial = CHAOS_LOCK.lock();
     let dir = tmpdir("burst");
     let model = dir.join("m.hml");
     save_mlp(&model, 51);
@@ -389,43 +413,50 @@ fn overload_burst_sheds_typed_and_serves_the_rest_exactly() {
     }
     region.reset_stats();
 
-    with_plan(Plan::seeded(0xD1).yield_at("serve.stage", 3), || {
-        let server = BatchServer::new(&session, Duration::from_millis(5))
-            .unwrap()
-            .with_max_pending(2);
-        let served = std::sync::atomic::AtomicU64::new(0);
-        let shed = std::sync::atomic::AtomicU64::new(0);
-        std::thread::scope(|scope| {
-            for w in 0..n_threads {
-                let server = &server;
-                let served = &served;
-                let shed = &shed;
-                let reference = &reference;
-                scope.spawn(move || {
-                    for (i, want) in reference[w].iter().enumerate() {
-                        let mut out = [0.0f32; 1];
-                        match server.submit(&[&sample_for(w, i)], &mut [&mut out]) {
-                            Ok(()) => {
-                                assert_eq!(out[0], *want, "served submissions are bit-identical");
-                                served.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    with_plan(
+        &serial,
+        Plan::seeded(0xD1).yield_at("serve.stage", 3),
+        || {
+            let server = BatchServer::new(&session, Duration::from_millis(5))
+                .unwrap()
+                .with_max_pending(2);
+            let served = std::sync::atomic::AtomicU64::new(0);
+            let shed = std::sync::atomic::AtomicU64::new(0);
+            std::thread::scope(|scope| {
+                for w in 0..n_threads {
+                    let server = &server;
+                    let served = &served;
+                    let shed = &shed;
+                    let reference = &reference;
+                    scope.spawn(move || {
+                        for (i, want) in reference[w].iter().enumerate() {
+                            let mut out = [0.0f32; 1];
+                            match server.submit(&[&sample_for(w, i)], &mut [&mut out]) {
+                                Ok(()) => {
+                                    assert_eq!(
+                                        out[0], *want,
+                                        "served submissions are bit-identical"
+                                    );
+                                    served.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                                }
+                                Err(CoreError::Serve(ServeError::Overloaded { .. })) => {
+                                    shed.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                                }
+                                Err(other) => panic!("only Overloaded may surface: {other}"),
                             }
-                            Err(CoreError::Serve(ServeError::Overloaded { .. })) => {
-                                shed.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            }
-                            Err(other) => panic!("only Overloaded may surface: {other}"),
                         }
-                    }
-                });
-            }
-        });
-        let served = served.into_inner();
-        let shed = shed.into_inner();
-        assert_eq!(served + shed, (n_threads * per_thread) as u64);
-        assert!(served >= 1, "at least the uncontended submits serve");
-        let s = region.stats();
-        assert_eq!(s.serve_rejected_overload, shed);
-        assert_eq!(s.batch_submitted, served);
-    });
+                    });
+                }
+            });
+            let served = served.into_inner();
+            let shed = shed.into_inner();
+            assert_eq!(served + shed, (n_threads * per_thread) as u64);
+            assert!(served >= 1, "at least the uncontended submits serve");
+            let s = region.stats();
+            assert_eq!(s.serve_rejected_overload, shed);
+            assert_eq!(s.batch_submitted, served);
+        },
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -434,6 +465,7 @@ fn overload_burst_sheds_typed_and_serves_the_rest_exactly() {
 
 #[test]
 fn shutdown_race_serves_or_rejects_typed_never_hangs() {
+    let serial = CHAOS_LOCK.lock();
     let dir = tmpdir("shutdown-race");
     let model = dir.join("m.hml");
     save_mlp(&model, 61);
@@ -445,6 +477,7 @@ fn shutdown_race_serves_or_rejects_typed_never_hangs() {
     let n_threads = threads();
 
     with_plan(
+        &serial,
         Plan::seeded(0xE1)
             .yield_at("serve.shutdown.race", 50)
             .yield_at("serve.stage", 2),
@@ -494,6 +527,7 @@ fn shutdown_race_serves_or_rejects_typed_never_hangs() {
 
 #[test]
 fn identical_plans_replay_identical_injections() {
+    let serial = CHAOS_LOCK.lock();
     let dir = tmpdir("replay");
     let db = dir.join("d.h5");
     let binds = Bindings::new().with("N", 1);
@@ -519,9 +553,9 @@ fn identical_plans_replay_identical_injections() {
             .delay("store.flush.sync", 100)
     };
     let mut first = Vec::new();
-    with_plan(plan(), || first = run());
+    with_plan(&serial, plan(), || first = run());
     let _ = std::fs::remove_file(&db);
     let mut second = Vec::new();
-    with_plan(plan(), || second = run());
+    with_plan(&serial, plan(), || second = run());
     assert_eq!(first, second, "same seed, same schedule, same injections");
 }

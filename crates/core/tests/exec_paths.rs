@@ -46,18 +46,21 @@ fn model_output_size_mismatch_is_reported() {
     let binds = Bindings::new().with("N", 4);
     let x = [0.1f32; 8];
     let mut y = [0.0f32; 4];
-    let mut out = region
-        .invoke(&binds)
+    let session = region
+        .session(&binds, &[("x", &[8]), ("y", &[4])], 1)
+        .unwrap();
+    let mut out = session
+        .invoke()
         .use_surrogate(true)
-        .input("x", &x, &[8])
+        .input("x", &x)
         .unwrap()
         .run(|| unreachable!())
         .unwrap();
-    // 4 samples x 3 outputs = 12 elements; the from-map wants 4 — the first
-    // output() call consumes 4 and succeeds, but a second region output
-    // doesn't exist, so this surfaces as leftover model output. The scatter
-    // itself must succeed on the available chunk.
-    out.output("y", &mut y, &[4]).unwrap();
+    // 4 samples x 3 outputs = 12 elements; the from-map wants 4 — the
+    // output() call reads the first 4 and succeeds, and the model output
+    // no declared output reads is left over. The scatter itself must
+    // succeed on the available chunk.
+    out.output("y", &mut y).unwrap();
     out.finish().unwrap();
     // Now the reverse: model emits fewer than needed.
     let model2 = dir.join("short.hml");
@@ -79,14 +82,17 @@ fn model_output_size_mismatch_is_reported() {
     )
     .unwrap();
     let mut y8 = [0.0f32; 8];
-    let mut out = region
-        .invoke(&binds)
-        .input("x", &x, &[8])
+    let session = region
+        .session(&binds, &[("x", &[8]), ("y", &[8])], 1)
+        .unwrap();
+    let mut out = session
+        .invoke()
+        .input("x", &x)
         .unwrap()
         .run(|| unreachable!())
         .unwrap();
     // Model produced 4 elements (4 samples x 1), from-map needs 8.
-    let err = match out.output("y", &mut y8, &[8]) {
+    let err = match out.output("y", &mut y8) {
         Err(e) => e,
         Ok(_) => panic!("expected a model-output-size error"),
     };
@@ -107,14 +113,17 @@ fn hot_swapping_models_changes_outputs() {
     let x = [0.4f32; 8];
     let run = |region: &Region| -> Vec<f32> {
         let mut y = [0.0f32; 4];
-        let mut out = region
-            .invoke(&binds)
+        let session = region
+            .session(&binds, &[("x", &[8]), ("y", &[4])], 1)
+            .unwrap();
+        let mut out = session
+            .invoke()
             .use_surrogate(true)
-            .input("x", &x, &[8])
+            .input("x", &x)
             .unwrap()
             .run(|| unreachable!())
             .unwrap();
-        out.output("y", &mut y, &[4]).unwrap();
+        out.output("y", &mut y).unwrap();
         out.finish().unwrap();
         y.to_vec()
     };
@@ -136,17 +145,20 @@ fn stats_accumulate_across_mixed_invocations() {
     let region = simple_region(&model);
     let binds = Bindings::new().with("N", 4);
     let x = [0.2f32; 8];
+    let session = region
+        .session(&binds, &[("x", &[8]), ("y", &[4])], 1)
+        .unwrap();
     for step in 0..6 {
         let mut y = [0.0f32; 4];
         let use_model = step % 2 == 0;
-        let mut out = region
-            .invoke(&binds)
+        let mut out = session
+            .invoke()
             .use_surrogate(use_model)
-            .input("x", &x, &[8])
+            .input("x", &x)
             .unwrap()
             .run(|| y.iter_mut().for_each(|v| *v = 1.0))
             .unwrap();
-        out.output("y", &mut y, &[4]).unwrap();
+        out.output("y", &mut y).unwrap();
         let path = out.finish().unwrap();
         assert_eq!(path == PathTaken::Surrogate, use_model);
     }
@@ -177,13 +189,70 @@ fn infer_mode_ignores_missing_db_and_collect_mode_ignores_missing_model() {
     let binds = Bindings::new().with("N", 2);
     let x = [0.5f32; 4];
     let mut y = [0.0f32; 4];
-    let mut out = region
-        .invoke(&binds)
-        .input("x", &x, &[4])
+    let session = region
+        .session(&binds, &[("x", &[4]), ("y", &[4])], 1)
+        .unwrap();
+    let mut out = session
+        .invoke()
+        .input("x", &x)
         .unwrap()
         .run(|| y.copy_from_slice(&x))
         .unwrap();
-    out.output("y", &mut y, &[4]).unwrap();
+    out.output("y", &mut y).unwrap();
     assert_eq!(out.finish().unwrap(), PathTaken::Accurate);
     assert_eq!(y, x);
+}
+
+#[test]
+fn outputs_read_in_any_order_get_their_own_values() {
+    let dir = tmpdir("out-order");
+    let model = dir.join("m.hml");
+    save_mlp(&model, 2, 2, 6);
+    let region = Region::from_source(
+        "out-order",
+        &format!(
+            r#"
+            #pragma approx tensor functor(rows: [i, 0:2] = ([2*i : 2*i+2]))
+            #pragma approx tensor functor(single: [i, 0:1] = ([i]))
+            #pragma approx tensor map(to: rows(x[0:N]))
+            #pragma approx tensor map(from: single(a[0:N]))
+            #pragma approx tensor map(from: single(b[0:N]))
+            #pragma approx ml(infer) in(x) out(a, b) model("{}")
+            "#,
+            model.display()
+        ),
+    )
+    .unwrap();
+    let binds = Bindings::new().with("N", 1);
+    let x = [0.3f32, -0.7];
+    let session = region
+        .session(&binds, &[("x", &[2]), ("a", &[1]), ("b", &[1])], 1)
+        .unwrap();
+    // Read both outputs in `order`; returns the bits of (a, b).
+    let read = |order: [&str; 2]| -> [u32; 2] {
+        let (mut a, mut b) = ([0.0f32; 1], [0.0f32; 1]);
+        let mut out = session
+            .invoke()
+            .input("x", &x)
+            .unwrap()
+            .run(|| unreachable!())
+            .unwrap();
+        for name in order {
+            let dst = if name == "a" { &mut a } else { &mut b };
+            out.output(name, dst).unwrap();
+        }
+        out.finish().unwrap();
+        [a[0].to_bits(), b[0].to_bits()]
+    };
+    let declared = read(["a", "b"]);
+    let reversed = read(["b", "a"]);
+    // The model's own forward pass: a is output column 0, b column 1.
+    let saved = hpacml_nn::serialize::load_model(&model).unwrap();
+    let y = saved
+        .infer(&hpacml_tensor::Tensor::from_vec(x.to_vec(), [1, 2]).unwrap())
+        .unwrap();
+    let want = [y.data()[0].to_bits(), y.data()[1].to_bits()];
+    assert_ne!(want[0], want[1], "the model must tell a from b");
+    assert_eq!(declared, want, "declaration order");
+    assert_eq!(reversed, want, "reversed order");
 }

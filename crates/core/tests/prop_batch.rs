@@ -1,7 +1,7 @@
 //! Property tests of the runtime batch dimension: for random per-sample
 //! region specs (feature width, model shape, seed), random batch sizes and
 //! random input data, `invoke_batch(n)` must be **bit-identical** to `n`
-//! sequential one-shot `Region::invoke` calls — and the concurrent
+//! sequential single-sample invocations of an independent session — and the concurrent
 //! auto-batching submitter must produce the same bits regardless of the
 //! order submissions land in.
 
@@ -45,10 +45,10 @@ fn per_sample_region(feat: usize, out_dim: usize, model: &std::path::Path) -> Re
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// invoke_batch(n) == n sequential one-shot invokes, bit for bit, for
-    /// random region widths, model seeds, batch sizes and data.
+    /// invoke_batch(n) == n sequential single-sample invokes, bit for bit,
+    /// for random region widths, model seeds, batch sizes and data.
     #[test]
-    fn batched_invocation_matches_sequential_one_shots(
+    fn batched_invocation_matches_sequential_single_samples(
         feat in 1usize..5,
         hidden in 2usize..12,
         out_dim in 1usize..3,
@@ -72,14 +72,18 @@ proptest! {
         };
         let x: Vec<f32> = (0..n * feat).map(|_| next()).collect();
 
-        // Reference: n sequential *one-shot* invocations (dims per call).
+        // Reference: n sequential invocations of a one-sample session on a
+        // second, independent region.
+        let ref_region = per_sample_region(feat, out_dim, &model);
+        let ref_session = ref_region
+            .session(&binds, &[("x", &[feat]), ("y", &[out_dim])], 1).unwrap();
         let mut y_seq = vec![0.0f32; n * out_dim];
         for i in 0..n {
-            let mut out = region
-                .invoke(&binds)
-                .input("x", &x[i * feat..(i + 1) * feat], &[feat]).unwrap()
+            let mut out = ref_session
+                .invoke()
+                .input("x", &x[i * feat..(i + 1) * feat]).unwrap()
                 .run(|| unreachable!()).unwrap();
-            out.output("y", &mut y_seq[i * out_dim..(i + 1) * out_dim], &[out_dim]).unwrap();
+            out.output("y", &mut y_seq[i * out_dim..(i + 1) * out_dim]).unwrap();
             out.finish().unwrap();
         }
 

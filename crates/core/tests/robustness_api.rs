@@ -64,13 +64,16 @@ fn collect_region(name: &str, db: &std::path::Path) -> Region {
 
 fn collect_one(region: &Region, binds: &Bindings, x: &[f32; 3], yv: f32) {
     let mut y = [0.0f32; 1];
-    let mut out = region
-        .invoke(binds)
-        .input("x", x, &[3])
+    let session = region
+        .session(binds, &[("x", &[3]), ("y", &[1])], 1)
+        .unwrap();
+    let mut out = session
+        .invoke()
+        .input("x", x)
         .unwrap()
         .run(|| y[0] = yv)
         .unwrap();
-    out.output("y", &mut y, &[1]).unwrap();
+    out.output("y", &mut y).unwrap();
     out.finish().unwrap();
 }
 
@@ -527,7 +530,7 @@ fn permanent_model_failure_degrades_session_to_host() {
 }
 
 #[test]
-fn permanent_model_failure_degrades_one_shot_to_host() {
+fn permanent_model_failure_degrades_a_per_call_session_to_host() {
     let dir = tmpdir("degrade-oneshot");
     let region = infer_region("degrade1", &dir.join("missing.hml"));
     region.set_retry_policy(RetryPolicy::none());
@@ -536,13 +539,16 @@ fn permanent_model_failure_degrades_one_shot_to_host() {
         .unwrap();
     let binds = Bindings::new().with("N", 1);
     let mut y = [0.0f32; 1];
-    let mut out = region
-        .invoke(&binds)
-        .input("x", &[0.1f32, 0.1, 0.1], &[3])
+    let session = region
+        .session(&binds, &[("x", &[3]), ("y", &[1])], 1)
+        .unwrap();
+    let mut out = session
+        .invoke()
+        .input("x", &[0.1f32, 0.1, 0.1])
         .unwrap()
         .run(|| y[0] = 7.0)
         .unwrap();
-    out.output("y", &mut y, &[1]).unwrap();
+    out.output("y", &mut y).unwrap();
     assert_eq!(out.finish().unwrap(), PathTaken::Accurate);
     assert_eq!(y[0], 7.0);
     assert!(!region.surrogate_active());

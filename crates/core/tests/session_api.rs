@@ -1,5 +1,5 @@
-//! The compiled `Session` API: compile-once/invoke-many equivalence with the
-//! one-shot path, cache-counter observability, thread safety, and the
+//! The compiled `Session` API: compile-once/invoke-many equivalence with an
+//! independent session, cache-counter observability, thread safety, and the
 //! collect-mode path through a session.
 
 use hpacml_core::{PathTaken, Region, Session};
@@ -38,7 +38,7 @@ fn rows_region(model: &std::path::Path) -> Region {
 }
 
 #[test]
-fn session_matches_one_shot_invocation() {
+fn session_reuse_matches_an_independent_session() {
     let dir = tmpdir("parity");
     let model = dir.join("m.hml");
     save_mlp(&model, 2, 1, 7);
@@ -46,16 +46,21 @@ fn session_matches_one_shot_invocation() {
     let binds = Bindings::new().with("N", 4);
     let x: Vec<f32> = (0..8).map(|k| k as f32 * 0.11 - 0.4).collect();
 
-    // One-shot reference.
+    // Reference: a one-sample session on a second, independent region.
+    let ref_region = rows_region(&model);
     let mut y_ref = [0.0f32; 4];
-    let mut out = region
-        .invoke(&binds)
-        .input("x", &x, &[8])
+    let ref_session = ref_region
+        .session(&binds, &[("x", &[8]), ("y", &[4])], 1)
+        .unwrap();
+    let mut out = ref_session
+        .invoke()
+        .input("x", &x)
         .unwrap()
         .run(|| unreachable!())
         .unwrap();
-    out.output("y", &mut y_ref, &[4]).unwrap();
+    out.output("y", &mut y_ref).unwrap();
     out.finish().unwrap();
+    assert_eq!(ref_region.stats().invocations, 1);
 
     // Compiled session, invoked repeatedly: identical results every time.
     let session = region
@@ -75,8 +80,8 @@ fn session_matches_one_shot_invocation() {
         assert_eq!(y, y_ref);
     }
     let stats = region.stats();
-    assert_eq!(stats.invocations, 6);
-    assert_eq!(stats.surrogate_invocations, 6);
+    assert_eq!(stats.invocations, 5);
+    assert_eq!(stats.surrogate_invocations, 5);
     assert!(stats.to_tensor_ns > 0 && stats.from_tensor_ns > 0);
 }
 
@@ -116,19 +121,6 @@ fn cache_counters_show_compile_once_execute_many() {
     // ...and resolve the model exactly once.
     assert_eq!(stats.model_cache_misses, 1);
     assert_eq!(stats.model_cache_hits, invocations - 1);
-
-    // The one-shot wrapper hits the plan cache per call instead.
-    let mut y = [0.0f32; 4];
-    let mut out = region
-        .invoke(&binds)
-        .input("x", &x, &[8])
-        .unwrap()
-        .run(|| unreachable!())
-        .unwrap();
-    out.output("y", &mut y, &[4]).unwrap();
-    out.finish().unwrap();
-    let stats = region.stats();
-    assert_eq!(stats.plan_cache_hits, plan_hits_at_build + 2);
 }
 
 #[test]
@@ -260,51 +252,56 @@ fn session_rejects_unknown_arrays_and_missing_inputs() {
 }
 
 #[test]
-fn multi_input_assembly_is_declaration_ordered_on_both_apis() {
+fn multi_input_assembly_is_declaration_ordered() {
     // Two declared inputs `a, b`; supplying them in reversed order must not
-    // change the model input: both APIs assemble in declaration order.
+    // change the model input: sessions assemble in declaration order.
     let dir = tmpdir("order");
     let model = dir.join("m.hml");
     save_mlp(&model, 2, 1, 31); // per sample: [a_i, b_i] -> y_i
-    let region = Region::from_source(
-        "order",
-        &format!(
-            r#"
-            #pragma approx tensor functor(one: [i, 0:1] = ([i]))
-            #pragma approx tensor map(to: one(a[0:N]))
-            #pragma approx tensor map(to: one(b[0:N]))
-            #pragma approx ml(infer) in(a, b) out(one(y[0:N])) model("{}")
-            "#,
-            model.display()
-        ),
-    )
-    .unwrap();
+    let order_region = || {
+        Region::from_source(
+            "order",
+            &format!(
+                r#"
+                #pragma approx tensor functor(one: [i, 0:1] = ([i]))
+                #pragma approx tensor map(to: one(a[0:N]))
+                #pragma approx tensor map(to: one(b[0:N]))
+                #pragma approx ml(infer) in(a, b) out(one(y[0:N])) model("{}")
+                "#,
+                model.display()
+            ),
+        )
+        .unwrap()
+    };
     let binds = Bindings::new().with("N", 4);
+    let shapes: [(&str, &[usize]); 3] = [("a", &[4]), ("b", &[4]), ("y", &[4])];
     let a: Vec<f32> = (0..4).map(|k| k as f32 * 0.1).collect();
     let b: Vec<f32> = (0..4).map(|k| 1.0 - k as f32 * 0.2).collect();
 
-    let one_shot = |first: &str, second: &str| -> Vec<f32> {
+    // Reference: one-sample sessions on a second, independent region.
+    let ref_region = order_region();
+    let per_call = |first: &str, second: &str| -> Vec<f32> {
         let (d1, d2) = if first == "a" { (&a, &b) } else { (&b, &a) };
         let mut y = vec![0.0f32; 4];
-        let mut out = region
-            .invoke(&binds)
-            .input(first, d1, &[4])
+        let session = ref_region.session(&binds, &shapes, 1).unwrap();
+        let mut out = session
+            .invoke()
+            .input(first, d1)
             .unwrap()
-            .input(second, d2, &[4])
+            .input(second, d2)
             .unwrap()
             .run(|| unreachable!())
             .unwrap();
-        out.output("y", &mut y, &[4]).unwrap();
+        out.output("y", &mut y).unwrap();
         out.finish().unwrap();
         y
     };
-    let declared = one_shot("a", "b");
-    let reversed = one_shot("b", "a");
+    let declared = per_call("a", "b");
+    let reversed = per_call("b", "a");
     assert_eq!(declared, reversed, "supply order must not change the batch");
 
-    let session = region
-        .session(&binds, &[("a", &[4]), ("b", &[4]), ("y", &[4])], 1)
-        .unwrap();
+    let region = order_region();
+    let session = region.session(&binds, &shapes, 1).unwrap();
     let mut y = vec![0.0f32; 4];
     let mut out = session
         .invoke()
@@ -316,7 +313,7 @@ fn multi_input_assembly_is_declaration_ordered_on_both_apis() {
         .unwrap();
     out.output("y", &mut y).unwrap();
     out.finish().unwrap();
-    assert_eq!(y, declared, "session path must match the one-shot path");
+    assert_eq!(y, declared, "reused session must match the reference");
 }
 
 /// A per-sample region (`N = 1`): 2 features in, 1 value out per sample.
@@ -379,6 +376,24 @@ fn invoke_batch_matches_sequential_invokes_bitwise() {
         out.finish().unwrap();
         assert_eq!(y, y_seq[..n], "batch {n} diverged from sequential");
     }
+}
+
+#[test]
+fn session_rejects_a_max_batch_whose_buffers_overflow() {
+    let dir = tmpdir("batch-overflow");
+    let model = dir.join("m.hml");
+    save_mlp(&model, 2, 1, 19);
+    let region = per_sample_region(&model);
+    let binds = Bindings::new().with("N", 1);
+    let shapes: [(&str, &[usize]); 2] = [("x", &[2]), ("y", &[1])];
+    // 2 input elements per sample: `usize::MAX / 2 + 1` samples overflow
+    // the per-thread gather buffer. The build fails before anything is
+    // sized for the batch.
+    let err = match region.session(&binds, &shapes, usize::MAX / 2 + 1) {
+        Err(e) => e,
+        Ok(_) => panic!("expected an overflow error"),
+    };
+    assert!(format!("{err}").contains("max_batch"), "{err}");
 }
 
 #[test]

@@ -269,15 +269,18 @@ fn forced_fallback_is_host_code_without_a_model() {
     assert_eq!(path, PathTaken::Accurate);
     assert_eq!(y, 42.0);
 
-    // The one-shot API honors the same gate.
+    // A session built per call honors the same gate.
     let mut y1 = [0.0f32; 1];
-    let mut out = region
-        .invoke(&binds)
-        .input("x", &sample(1), &[3])
+    let per_call = region
+        .session(&binds, &[("x", &[3]), ("y", &[1])], 1)
+        .unwrap();
+    let mut out = per_call
+        .invoke()
+        .input("x", &sample(1))
         .unwrap()
         .run(|| y1[0] = 7.0)
         .unwrap();
-    out.output("y", &mut y1, &[1]).unwrap();
+    out.output("y", &mut y1).unwrap();
     assert_eq!(out.finish().unwrap(), PathTaken::Accurate);
     assert_eq!(y1[0], 7.0);
 

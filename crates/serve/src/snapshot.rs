@@ -193,6 +193,25 @@ impl ReadyCell {
     }
 }
 
+/// The owner's one readiness report. Dropped unpublished — the build phase
+/// unwound — it publishes `Err`, so `bootstrap`/`apply` fail with
+/// [`DaemonError::Build`] instead of waiting forever.
+struct ReadyReport<'a>(Option<&'a ReadyCell>);
+
+impl ReadyReport<'_> {
+    fn publish(&mut self, result: Result<(), String>) {
+        if let Some(cell) = self.0.take() {
+            cell.publish(result);
+        }
+    }
+}
+
+impl Drop for ReadyReport<'_> {
+    fn drop(&mut self) {
+        self.publish(Err("unit build panicked".into()));
+    }
+}
+
 /// Per-region entry in a snapshot: the request queue plus the declared
 /// array shapes the daemon validates submissions against.
 pub(crate) struct Unit {
@@ -372,14 +391,13 @@ struct UnitCtx {
 /// queue closes.
 fn run_unit(ctx: UnitCtx) {
     let cfg = &ctx.cfg;
+    let mut ready = ReadyReport(Some(&ctx.ready));
     let region = match build_region(cfg) {
         Ok(r) => Arc::new(r),
-        Err(e) => return ctx.ready.publish(Err(format!("region build failed: {e}"))),
+        Err(e) => return ready.publish(Err(format!("region build failed: {e}"))),
     };
     if let Err(e) = apply_precision(&region, cfg) {
-        return ctx
-            .ready
-            .publish(Err(format!("precision policy failed: {e}")));
+        return ready.publish(Err(format!("precision policy failed: {e}")));
     }
     let binds = cfg
         .binds
@@ -400,25 +418,23 @@ fn run_unit(ctx: UnitCtx) {
         .collect();
     let session = match region.session(&binds, &shapes, cfg.max_batch) {
         Ok(s) => s,
-        Err(e) => return ctx.ready.publish(Err(format!("session build failed: {e}"))),
+        Err(e) => return ready.publish(Err(format!("session build failed: {e}"))),
     };
     // Shadow-probe before any validation policy is attached: a drawn
     // shadow validation during the probe would score the surrogate against
     // a no-op closure and poison the fallback controller.
     if let Err(e) = probe(&session, cfg) {
-        return ctx.ready.publish(Err(format!("shadow probe failed: {e}")));
+        return ready.publish(Err(format!("shadow probe failed: {e}")));
     }
     region.reset_stats();
     if let Some(v) = &cfg.validation {
         if let Err(e) = region.set_validation_policy(validation_policy(v)) {
-            return ctx
-                .ready
-                .publish(Err(format!("validation policy failed: {e}")));
+            return ready.publish(Err(format!("validation policy failed: {e}")));
         }
     }
     let mut server = match BatchServer::new(&session, cfg.max_wait) {
         Ok(s) => s,
-        Err(e) => return ctx.ready.publish(Err(format!("server build failed: {e}"))),
+        Err(e) => return ready.publish(Err(format!("server build failed: {e}"))),
     };
     if let Some(mp) = ctx.max_pending {
         server = server.with_max_pending(mp);
@@ -428,7 +444,7 @@ fn run_unit(ctx: UnitCtx) {
         server = server.with_fallback(move |n, ins, outs| h(n, ins, outs));
     }
     ctx.shared.region.lock().replace(Arc::clone(&region));
-    ctx.ready.publish(Ok(()));
+    ready.publish(Ok(()));
     let server = &server;
     std::thread::scope(|scope| {
         for _ in 0..ctx.workers {
@@ -575,4 +591,32 @@ fn probe(session: &Session<'_>, cfg: &RegionConfig) -> Result<(), CoreError> {
     }
     out.finish()?;
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_unwound_build_reports_an_error() {
+        let cell = ReadyCell::new();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _ready = ReadyReport(Some(&cell));
+            panic!("injected build-phase panic");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(
+            cell.slot.lock().take(),
+            Some(Err("unit build panicked".to_string()))
+        );
+    }
+
+    #[test]
+    fn a_published_report_is_not_overwritten_on_drop() {
+        let cell = ReadyCell::new();
+        let mut ready = ReadyReport(Some(&cell));
+        ready.publish(Ok(()));
+        drop(ready);
+        assert_eq!(cell.slot.lock().take(), Some(Ok(())));
+    }
 }

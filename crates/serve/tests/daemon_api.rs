@@ -6,6 +6,7 @@ use hpacml_directive::sema::Bindings;
 use hpacml_nn::spec::{Activation, ModelSpec};
 use hpacml_serve::{DaemonBuilder, DaemonError};
 use std::path::{Path, PathBuf};
+use std::sync::mpsc::RecvTimeoutError;
 use std::time::Duration;
 
 fn tmpdir(name: &str) -> PathBuf {
@@ -402,4 +403,67 @@ fn per_region_deadline_default_applies_from_config() {
         assert!(err.is_deadline(), "config deadline must apply: {err}");
         leader.join().unwrap().unwrap();
     });
+}
+
+/// Run `f` on a helper thread: a call still running after `secs` fails
+/// the test instead of hanging it.
+fn within<T: Send + 'static>(secs: u64, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let helper = std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    match rx.recv_timeout(Duration::from_secs(secs)) {
+        Ok(out) => {
+            helper.join().expect("the helper exits after sending");
+            out
+        }
+        // The helper may be parked for good: leave it detached.
+        Err(RecvTimeoutError::Timeout) => panic!("the call did not return within {secs} s"),
+        Err(RecvTimeoutError::Disconnected) => match helper.join() {
+            Err(panic) => std::panic::resume_unwind(panic),
+            Ok(()) => unreachable!("the helper sends before it exits"),
+        },
+    }
+}
+
+#[test]
+fn overflowing_max_batch_fails_the_build_instead_of_hanging() {
+    let dir = tmpdir("overflow");
+    let model = dir.join("m.hml");
+    save_mlp(&model, 9);
+    let samples = [sample(0)];
+    let direct = direct_outputs(&model, &samples);
+    // `usize::MAX / 2` samples of the 3-element input overflow `usize`.
+    let bad = region_cfg("demo", &model, &format!("max_batch {};", usize::MAX / 2));
+    let assert_build_error = |err: DaemonError| match err {
+        DaemonError::Build { region, msg } => {
+            assert_eq!(region, "demo");
+            assert!(msg.contains("max_batch"), "overflow must be named: {msg}");
+        }
+        other => panic!("expected a build error, got {other}"),
+    };
+
+    let cfg = bad.clone();
+    let err = within(30, move || DaemonBuilder::new().bootstrap(&cfg).map(|_| ()));
+    assert_build_error(err.unwrap_err());
+
+    let daemon = DaemonBuilder::new()
+        .bootstrap(&region_cfg(
+            "demo",
+            &model,
+            "max_batch 4;\n max_wait 100us;",
+        ))
+        .unwrap();
+    let (daemon, applied) = within(30, move || {
+        let applied = daemon.apply(&bad).map(|_| ());
+        (daemon, applied)
+    });
+    assert_build_error(applied.unwrap_err());
+    // The old snapshot keeps serving.
+    assert_eq!(daemon.generation(), 1);
+    let mut y = [0.0f32; 1];
+    daemon
+        .submit("demo", &[&samples[0]], &mut [&mut y])
+        .unwrap();
+    assert_eq!(y[0], direct[0]);
 }

@@ -47,6 +47,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let (n, m) = (12usize, 14usize);
     let binds = Bindings::new().with("N", n as i64).with("M", m as i64);
+    // Compile the region into a `Session` once: bridge plans resolved for
+    // these bindings and per-sample shapes, plus the largest runtime batch
+    // one invocation may carry (the stencil steps one grid at a time: 1).
+    let session = region.session(&binds, &[("t", &[n, m]), ("tnew", &[n, m])], 1)?;
 
     // 2. Collect: run the accurate region while HPAC-ML records the 5-point
     //    stencil inputs and the produced outputs.
@@ -60,11 +64,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             })
             .collect();
         let mut tnew = vec![0.0f32; n * m];
-        let mut out = region
-            .invoke(&binds)
-            .input("t", &t, &[n, m])?
+        let mut out = session
+            .invoke()
+            .input("t", &t)?
             .run(|| do_timestep(&t, &mut tnew, n, m))?;
-        out.output("tnew", &mut tnew, &[n, m])?;
+        out.output("tnew", &mut tnew)?;
         out.finish()?;
     }
     region.flush_db()?;
@@ -104,17 +108,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         spec.param_count()
     );
 
-    // 4. Deploy: the same region, surrogate on. Compile the region into a
-    //    `Session` once (bridge plans resolved, model loaded, workspaces
-    //    preallocated), then invoke it many times — the hot loop does no
-    //    plan lookups and, in steady state, no heap allocation.
+    // 4. Deploy: the same session, surrogate on. The model loads on the
+    //    first surrogate invocation (collection never needed it); after
+    //    that the hot loop does no plan lookups and, in steady state, no
+    //    heap allocation.
     println!("running inference through a compiled session...");
     let t: Vec<f32> = (0..n * m).map(|k| ((k % 7) as f32 - 3.0) * 0.2).collect();
     let mut reference = vec![0.0f32; n * m];
     do_timestep(&t, &mut reference, n, m);
-    // Per-sample shapes plus the largest runtime batch one invocation may
-    // carry (the auto-regressive stencil steps one grid at a time: 1).
-    let session = region.session(&binds, &[("t", &[n, m]), ("tnew", &[n, m])], 1)?;
     let mut tnew = vec![0.0f32; n * m];
     for _ in 0..100 {
         let mut out = session
